@@ -13,11 +13,17 @@ the SHA-256 of the payload lines (each with its newline).  Loading
 rejects any line whose denominator has a prime factor not dividing d:
 every genuine coefficient is a d-adic rational, so such a line can only
 be corruption.
+
+Numerators and denominators grow past Python's int<->str digit cap
+(4300 digits by default) for large m, so the cap is lifted around the
+conversions and put back afterwards.
 """
 
 from __future__ import annotations
 
 import hashlib
+import sys
+from contextlib import contextmanager
 from math import gcd
 
 from .exact import factorize, rational
@@ -32,6 +38,21 @@ class CacheFormatError(ValueError):
 
 class CacheChecksumError(CacheFormatError):
     """Payload does not match the table's recorded checksum."""
+
+
+@contextmanager
+def unlimited_int_digits():
+    """Lift the int<->str digit cap inside the block (or the decorated
+    call), then restore it.  A no-op on interpreters without the cap."""
+    previous = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if previous is None:
+        yield
+        return
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(previous)
 
 
 def _denominator_is_d_adic(den: int, d: int) -> bool:
@@ -53,6 +74,7 @@ def _as_triple(record):
     return (d, m, value)
 
 
+@unlimited_int_digits()
 def format_table(records) -> str:
     """Render records as the full table text (header, payload, checksum)."""
     triples = sorted((_as_triple(r) for r in records), key=lambda t: (t[0], t[1]))
@@ -82,6 +104,7 @@ def store_coefficients(path, records) -> None:
         fh.write(text)
 
 
+@unlimited_int_digits()
 def parse_table(text: str) -> list[tuple[int, int, object]]:
     """Parse table text into (d, m, value) triples, validating the format."""
     if text.strip() == "":

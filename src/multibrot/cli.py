@@ -257,6 +257,7 @@ def _emit(text: str, path: Path | None):
             fh.write(text)
 
 
+@cache.unlimited_int_digits()
 def _records_json_lines(records) -> str:
     lines = []
     for rec in records:

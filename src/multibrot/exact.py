@@ -1,10 +1,13 @@
 """Exact arithmetic substrate: rationals, p-adic valuations, factorizations.
 
 Every quantity in this package is an exact rational.  The canonical value
-type is ``gmpy2.mpq`` when gmpy2 is installed (much faster on big
-operands), with ``fractions.Fraction`` as a pure-Python fallback.  Both
+type is ``gmpy2.mpq`` when the optional ``gmp`` extra (gmpy2) is
+installed, with ``fractions.Fraction`` as the pure-Python default.  Both
 keep values in lowest terms with a positive denominator, and they
 interoperate (``==``, ``hash``, arithmetic), so callers may pass either.
+The hot kernels (the series recurrence, ``binomial_general``) run on
+Python ints and build one rational per result, so the backend matters
+mostly outside them.
 
 Valuations take values in the integers extended by infinity:
 ``padic_valuation(0, p)`` is ``POS_INF``, and the negated valuation of a
@@ -189,14 +192,17 @@ def binomial_general(a, j: int):
     """Generalized binomial coefficient a(a-1)...(a-j+1) / j! for rational a.
 
     Equals the ordinary binomial coefficient for integer a >= j, and 1
-    for j = 0 regardless of a.
+    for j = 0 regardless of a.  With a = p/q, the value is
+    prod(p - i*q) / prod((i+1)*q) over i < j; both products are taken
+    on ints and reduced once.
     """
     if j < 0:
         raise ValueError("j must be non-negative")
-    result = ONE
+    p, q = int(a.numerator), int(a.denominator)
+    numerator = 1
     for i in range(j):
-        result = result * (a - i) / (i + 1)
-    return result
+        numerator *= p - i * q
+    return rational(numerator, math.factorial(j) * q**j)
 
 
 def floor_rational(x) -> int:

@@ -6,6 +6,12 @@ degree-D polynomial Q: factoring Q(z) = z^D * (1 + u(1/z)) removes the
 fractional power from the data model, leaving an ordinary truncated
 series in w = 1/z with exact rational coefficients.
 
+Those coefficients are computed on Python ints: the recurrence runs on
+the terms times one common denominator, which grows as the terms need
+it and may only contain primes of the exponent's denominator (any other
+prime is an ``ArithmeticError``); the rationals are built once, at the
+end.
+
 Truncated tails never read past their window: ``coefficient_at`` raises
 ``SeriesWindowError`` instead of silently returning a truncated-away
 term.
@@ -13,9 +19,11 @@ term.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from math import gcd
 
-from .exact import rational, ONE, ZERO
+from .exact import rational, ZERO
 
 
 class SeriesWindowError(ValueError):
@@ -116,10 +124,24 @@ def rational_power_tail(q_coeffs, exponent, order: int) -> TailSeries:
     binomial series (1 + u)^exponent mod w^(order+1), computed by the
     first-order recurrence obtained from f' (1+u) = exponent * u' f:
 
-        (k+1) f_{k+1} = sum_i (exponent*i - (k+1-i)) u_i f_{k+1-i}
+        k f_k = sum_i (exponent*i - (k-i)) u_i f_{k-i}
 
     which evaluates the same finite sum of generalized binomial terms as
     expanding the powers u^j directly, one coefficient at a time.
+
+    With exponent = a/b in lowest terms, the recurrence runs on the
+    integers g_k = f_k * S for one common scale S,
+
+        b k g_k = sum_i (a*i - b(k-i)) u_i g_{k-i}.
+
+    S starts at 1.  When b*k does not divide the right-hand side, S and
+    every earlier g_j are multiplied by the missing factor, so S stays
+    the least common denominator of the terms computed so far (597 bits
+    for d = 2, m = 299, where the a-priori bound order! * b^order has
+    4442).  Every f_k is a sum of binomial terms in a/b, so that factor
+    can only contain primes dividing b; any other prime means the
+    arithmetic went wrong and raises ``ArithmeticError``.  Each tail
+    term is returned as the rational g_k / S.
     """
     if order < 0:
         raise ValueError("truncation order must be >= 0")
@@ -135,21 +157,39 @@ def rational_power_tail(q_coeffs, exponent, order: int) -> TailSeries:
             f"exponent {alpha} times degree {degree} must be an integer leading power"
         )
     lead = int(lead)
+    a, b = int(alpha.numerator), int(alpha.denominator)
 
     # u_i is the coefficient of z^(D-i), i.e. of w^i after factoring z^D.
+    # Step k weighs u_i g_{k-i} by a*i - b(k-i) = (a+b)*i - b*k, so the
+    # part that does not depend on k is multiplied in once, here.
     window = min(degree, order)
-    u = [0] * (window + 1)
-    for i in range(1, window + 1):
-        u[i] = q_coeffs[degree - i]
-    support = [i for i in range(1, window + 1) if u[i]]
+    support = [i for i in range(1, window + 1) if q_coeffs[degree - i]]
+    terms = [(i, (a + b) * i * q_coeffs[degree - i], q_coeffs[degree - i]) for i in support]
 
-    f = [ZERO] * (order + 1)
-    f[0] = ONE
-    for k in range(order):
-        acc = ZERO
-        for i in support:
-            if i > k + 1:
-                break
-            acc += (alpha * i - (k + 1 - i)) * u[i] * f[k + 1 - i]
-        f[k + 1] = acc / (k + 1)
-    return TailSeries(leading_power=lead, tail=tuple(f), truncation_order=order)
+    scale = 1
+    g = [0] * (order + 1)
+    g[0] = 1
+    for k in range(1, order + 1):
+        bk = b * k
+        acc = 0
+        for i, v_i, u_i in terms[: bisect_right(support, k)]:
+            acc += (v_i - bk * u_i) * g[k - i]
+        grow = bk // gcd(acc, bk)
+        if grow > 1:
+            rest = grow
+            while (common := gcd(rest, b)) > 1:
+                rest //= common
+            if rest != 1:
+                raise ArithmeticError(
+                    f"tail term {k} of the power {alpha} has a denominator prime "
+                    f"not dividing {b}"
+                )
+            scale *= grow
+            g[:k] = [g_j * grow for g_j in g[:k]]
+            acc *= grow
+        g[k] = acc // bk
+    return TailSeries(
+        leading_power=lead,
+        tail=tuple(rational(g_k, scale) for g_k in g),
+        truncation_order=order,
+    )

@@ -1,4 +1,5 @@
 import hashlib
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -133,6 +134,17 @@ def test_unsorted_payload_rejected():
 def test_conflicting_duplicates_rejected_on_store():
     with pytest.raises(ValueError, match="conflicting"):
         format_table([(2, 1, rational(1, 8)), (2, 1, rational(1, 4))])
+
+
+def test_round_trip_above_the_int_str_digit_cap(tmp_path):
+    # 20001-digit numerator over a 20001-digit power of two, far past
+    # Python's default 4300-digit int<->str limit
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    path = tmp_path / "big.csv"
+    rows = [(2, 9999, rational(10**20000 + 1, 2**66439))]
+    store_coefficients(path, rows)
+    assert load_coefficients(path) == rows
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
 
 
 def test_agreeing_duplicates_collapse():

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import sys
 
 import pytest
 
@@ -8,6 +10,7 @@ from multibrot.cli import (
     EXIT_OK,
     EXIT_USAGE,
     EXIT_VERIFICATION,
+    _records_json_lines,
     main,
 )
 from multibrot.coeffs import CoeffRecord
@@ -65,6 +68,25 @@ class TestCompute:
         rows = [json.loads(line) for line in out.splitlines()]
         assert rows[0] == {"d": 2, "m": 0, "numerator": "-1", "denominator": "2"}
         assert len(rows) == 3
+
+    def test_json_lines_above_the_int_str_digit_cap(self):
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        value = rational(-(10**20000 + 1), 2**66439)
+        row = json.loads(_records_json_lines([CoeffRecord(2, 9999, value, "residue", 13)]))
+        assert row["numerator"] == "-1" + "0" * 19999 + "1"
+        assert len(row["denominator"]) == 20001
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+    def test_table_digest_for_degrees_two_to_six(self, capsys):
+        # Byte-exact table for d = 2..6, m <= 200, recorded with a
+        # term-by-term Fraction evaluation of the same recurrence; most of
+        # these indices are beyond the reach of the partition-sum cross-check.
+        code, out, _ = run(capsys, "compute", "--d", "2,3,4,5,6", "--m-max", "200",
+                           "--threads", "1")
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "7d5392641310bc839a0a1a6b5c64b4cfa4a22ae9df7f8b05cd1fd81a131238bd"
+        )
 
     def test_both_methods_agree(self, capsys):
         code, out, _ = run(capsys, "compute", "--d", "2,4", "--m-max", "10",

@@ -70,9 +70,12 @@ class TestResidueRoute:
         assert coefficient_by_residue(3, 4) == 0
 
     def test_any_admissible_order_gives_the_same_value(self):
-        for m in (1, 3, 5, 11):
-            n0 = choose_n(2, m)
-            assert coefficient_by_residue(2, m, n0) == coefficient_by_residue(2, m, n0 + 1)
+        # Q_n and Q_{n+1} are different polynomial data, so agreement is also
+        # an oracle for the large indices the partition-sum route cannot reach.
+        for d, m in ((2, 1), (2, 3), (2, 5), (2, 11), (2, 150), (2, 200), (2, 260),
+                     (3, 101), (3, 161)):
+            n0 = choose_n(d, m)
+            assert coefficient_by_residue(d, m, n0) == coefficient_by_residue(d, m, n0 + 1)
 
     def test_rejects_out_of_range_order(self):
         with pytest.raises(ValueError):

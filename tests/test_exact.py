@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -140,6 +141,24 @@ class TestBinomialGeneral:
     def test_rejects_negative_j(self):
         with pytest.raises(ValueError):
             binomial_general(rational(1, 2), -1)
+
+    def test_matches_factor_by_factor_product(self):
+        # 2000 seeded (a, j) pairs, integer, d-adic and arbitrary a, against
+        # a(a-1)...(a-j+1)/j! accumulated one rational factor at a time
+        rng = random.Random(2000)
+        for _ in range(2000):
+            kind = rng.randrange(3)
+            if kind == 0:
+                a = rng.randint(-50, 50)
+            elif kind == 1:
+                a = rational(rng.randint(-10**6, 10**6), rng.choice((2, 3, 5, 6)) ** rng.randint(1, 9))
+            else:
+                a = rational(rng.randint(-10**12, 10**12), rng.randint(1, 10**9))
+            j = rng.randint(0, 50)
+            expected = rational(1)
+            for i in range(j):
+                expected = expected * (a - i) / (i + 1)
+            assert binomial_general(a, j) == expected
 
 
 class TestFloorIdentities:

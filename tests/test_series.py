@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from multibrot import series
 from multibrot.exact import ZERO, binomial_general, rational
 from multibrot.series import (
     SeriesWindowError,
@@ -106,6 +107,13 @@ class TestRationalPowerTail:
     def test_rejects_negative_order(self):
         with pytest.raises(ValueError):
             rational_power_tail((0, 1, 1), rational(1, 2), -1)
+
+    def test_denominator_prime_outside_the_exponent_is_an_error(self, monkeypatch):
+        # With gcd reporting no common factors, the scale would have to
+        # grow by a factor not confirmed to be a power of b's primes.
+        monkeypatch.setattr(series, "gcd", lambda x, y: 1)
+        with pytest.raises(ArithmeticError):
+            rational_power_tail((0, 1, 1), rational(1, 2), 3)
 
     @settings(deadline=None, max_examples=40)
     @given(
