@@ -21,12 +21,7 @@ from .exact import (
     padic_valuation,
     rational,
 )
-from .series import (
-    SeriesWindowError,
-    TailSeries,
-    iterate_parameter_polynomial,
-    rational_power_tail,
-)
+from .series import iterate_parameter_polynomial, rational_power_tail
 from .coeffs import (
     METHOD_COMBINATORIAL,
     METHOD_RESIDUE,
@@ -77,8 +72,6 @@ __all__ = [
     "is_prime",
     "padic_valuation",
     "rational",
-    "SeriesWindowError",
-    "TailSeries",
     "iterate_parameter_polynomial",
     "rational_power_tail",
     "METHOD_COMBINATORIAL",

@@ -26,7 +26,7 @@ import sys
 from contextlib import contextmanager
 from math import gcd
 
-from .exact import factorize, rational
+from .exact import is_d_adic, rational
 
 HEADER = "#multibrot-coeffs v1"
 _CHECKSUM_PREFIX = "#sha256:"
@@ -53,13 +53,6 @@ def unlimited_int_digits():
         yield
     finally:
         sys.set_int_max_str_digits(previous)
-
-
-def _denominator_is_d_adic(den: int, d: int) -> bool:
-    for p, _ in factorize(d):
-        while den % p == 0:
-            den //= p
-    return den == 1
 
 
 def coefficient_line(d: int, m: int, value) -> str:
@@ -142,7 +135,7 @@ def parse_table(text: str) -> list[tuple[int, int, object]]:
             raise CacheFormatError(f"line {offset}: denominator must be positive")
         if gcd(abs(num), den) != 1:
             raise CacheFormatError(f"line {offset}: {num}/{den} is not in lowest terms")
-        if not _denominator_is_d_adic(den, d):
+        if not is_d_adic(den, d):
             raise CacheFormatError(
                 f"line {offset}: denominator {den} has a prime factor not dividing d={d}"
             )
@@ -155,6 +148,11 @@ def parse_table(text: str) -> list[tuple[int, int, object]]:
 
 
 def load_coefficients(path) -> list[tuple[int, int, object]]:
-    """Load a table from path; an empty file yields an empty table."""
+    """Load a table from path; an empty file yields an empty table and
+    bytes that are not UTF-8 a ``CacheFormatError``."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_table(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise CacheFormatError(f"byte {exc.start}: not UTF-8 text") from None
+    return parse_table(text)

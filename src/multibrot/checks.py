@@ -26,11 +26,16 @@ predicate over exactly computed coefficients and returns a ``Verdict``:
 
 All comparisons are exact; a zero coefficient attains -inf, which
 satisfies every bound and never counts as equality against a finite one.
+
+``CHECKS`` is the one place that declares at which (d, m) each check
+applies and whether it reads fully computed coefficients; the suite and
+the command line both read it through ``applicable``.
 """
 
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 from .exact import (
@@ -38,6 +43,7 @@ from .exact import (
     POS_INF,
     factorial_valuation,
     factorize,
+    is_d_adic,
     is_prime,
     padic_valuation,
 )
@@ -45,17 +51,7 @@ from .coeffs import (
     METHOD_SPECIAL,
     CoeffTable,
     laurent_coefficient,
-)
-
-CHECK_NAMES = (
-    "main",
-    "zagier",
-    "ewing-schober",
-    "levin",
-    "yamashita",
-    "vanishing",
-    "integrality",
-    "dadic",
+    vanishes_by_divisibility,
 )
 
 REPORT_HEADER = "#multibrot-verdicts v1"
@@ -107,7 +103,7 @@ def _table(table):
 
 def check_main(d: int, m: int, table: CoeffTable | None = None) -> list[Verdict]:
     """One verdict per prime factor of d; requires (d-1) | (m+1)."""
-    if (m + 1) % (d - 1) != 0:
+    if vanishes_by_divisibility(d, m):
         raise ValueError(
             "check_main requires (d-1) | (m+1); the complementary case is "
             "covered by check_vanishing"
@@ -152,7 +148,7 @@ def check_yamashita(p: int, m: int, table: CoeffTable | None = None) -> Verdict:
         raise ValueError(f"check_yamashita requires a prime degree, got {p}")
     value = _table(table).value(p, m)
     attained = denominator_exponent(value, p)
-    if (m + 1) % (p - 1) != 0:
+    if vanishes_by_divisibility(p, m):
         return _bound_verdict("yamashita", p, m, p, NEG_INF, attained, equality_predicted=True)
     a = (m + 1) // (p - 1)
     bound = factorial_valuation(p * m + p, p) // (p - 1)
@@ -180,7 +176,7 @@ def check_vanishing(
         raise ValueError("check_vanishing applies to d >= 3")
     if m < 1:
         raise ValueError("check_vanishing applies to m >= 1")
-    if (m + 1) % (d - 1) == 0:
+    if not vanishes_by_divisibility(d, m):
         raise ValueError("(d-1) | (m+1): this index is covered by check_main")
     record = None
     if full_table is not None:
@@ -200,7 +196,7 @@ def rational_denominator(value) -> int:
 
 def check_integrality(d: int, m: int, table: CoeffTable | None = None) -> Verdict:
     """value * d^x integral for the ceiling exponent x derived from the main bound."""
-    if (m + 1) % (d - 1) != 0:
+    if vanishes_by_divisibility(d, m):
         raise ValueError("check_integrality requires (d-1) | (m+1)")
     a = (m + 1) // (d - 1)
     value = _table(table).value(d, m)
@@ -221,17 +217,59 @@ def check_integrality(d: int, m: int, table: CoeffTable | None = None) -> Verdic
 
 def check_dadic(d: int, m: int, table: CoeffTable | None = None) -> Verdict:
     """Every prime factor of the denominator divides d."""
-    value = _table(table).value(d, m)
-    den = rational_denominator(value)
-    for p, _ in factorize(d):
-        while den % p == 0:
-            den //= p
-    passed = den == 1
+    passed = is_d_adic(rational_denominator(_table(table).value(d, m)), d)
     return Verdict("dadic", d, m, None, None, None, None, None, passed)
 
 
 def _sort_key(v: Verdict):
     return (v.check, v.d, v.m, v.p if v.p is not None else -1)
+
+
+@dataclass(frozen=True)
+class Check:
+    """Where a check applies, and its verdicts at one (d, m).
+
+    ``full`` checks read coefficients computed without the vanishing
+    shortcut; the others read the ordinary table.
+    """
+
+    applies: Callable[[int, int], bool]
+    verdicts: Callable[[int, int, CoeffTable | None], list[Verdict]]
+    full: bool = False
+
+
+def _divisible(d, m):
+    return not vanishes_by_divisibility(d, m)
+
+
+CHECKS = {
+    "main": Check(_divisible, check_main),
+    "zagier": Check(lambda d, m: d == 2, lambda d, m, t: [check_zagier(m, t)]),
+    "ewing-schober": Check(lambda d, m: d == 2, lambda d, m, t: [check_ewing_schober(m, t)]),
+    "levin": Check(lambda d, m: d == 2 and m % 2 == 1, lambda d, m, t: [check_levin(m, t)]),
+    "yamashita": Check(lambda d, m: is_prime(d), lambda d, m, t: [check_yamashita(d, m, t)]),
+    "vanishing": Check(
+        lambda d, m: m >= 1 and vanishes_by_divisibility(d, m),
+        lambda d, m, t: [check_vanishing(d, m, t)],
+        full=True,
+    ),
+    "integrality": Check(_divisible, lambda d, m, t: [check_integrality(d, m, t)]),
+    "dadic": Check(lambda d, m: True, lambda d, m, t: [check_dadic(d, m, t)]),
+}
+CHECK_NAMES = tuple(CHECKS)
+
+
+def applicable(degrees, m_max: int, checks):
+    """(name, d, m) for every requested check at every index where it applies."""
+    unknown = [c for c in checks if c not in CHECKS]
+    if unknown:
+        raise ValueError(f"unknown check names: {', '.join(unknown)}")
+    for name in dict.fromkeys(checks):
+        applies = CHECKS[name].applies
+        for d in sorted(set(degrees)):
+            for m in range(m_max + 1):
+                if applies(d, m):
+                    yield name, d, m
 
 
 def suite_verdicts(
@@ -243,43 +281,11 @@ def suite_verdicts(
 ) -> list[Verdict]:
     """Every applicable verdict for the requested checks, sorted by
     (check, d, m, p) so that two runs diff cleanly."""
-    unknown = [c for c in checks if c not in CHECK_NAMES]
-    if unknown:
-        raise ValueError(f"unknown check names: {', '.join(unknown)}")
     table = _table(table)
-    degrees = sorted(set(degrees))
     verdicts: list[Verdict] = []
-    for check in dict.fromkeys(checks):
-        for d in degrees:
-            if check in ("zagier", "ewing-schober", "levin") and d != 2:
-                continue
-            if check == "yamashita" and not is_prime(d):
-                continue
-            if check == "vanishing" and d < 3:
-                continue
-            for m in range(m_max + 1):
-                divisible = (m + 1) % (d - 1) == 0
-                if check in ("main", "integrality"):
-                    if not divisible:
-                        continue
-                    if check == "main":
-                        verdicts.extend(check_main(d, m, table))
-                    else:
-                        verdicts.append(check_integrality(d, m, table))
-                elif check == "zagier":
-                    verdicts.append(check_zagier(m, table))
-                elif check == "ewing-schober":
-                    verdicts.append(check_ewing_schober(m, table))
-                elif check == "levin":
-                    if m % 2 == 1:
-                        verdicts.append(check_levin(m, table))
-                elif check == "yamashita":
-                    verdicts.append(check_yamashita(d, m, table))
-                elif check == "vanishing":
-                    if m >= 1 and not divisible:
-                        verdicts.append(check_vanishing(d, m, full_table))
-                elif check == "dadic":
-                    verdicts.append(check_dadic(d, m, table))
+    for name, d, m in applicable(degrees, m_max, checks):
+        check = CHECKS[name]
+        verdicts.extend(check.verdicts(d, m, full_table if check.full else table))
     verdicts.sort(key=_sort_key)
     return verdicts
 

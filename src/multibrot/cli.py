@@ -23,16 +23,17 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import cache
-from .checks import CHECK_NAMES, format_report, suite_verdicts
+from .checks import CHECK_NAMES, CHECKS, applicable, format_report, suite_verdicts
 from .coeffs import (
     METHOD_COMBINATORIAL,
     METHOD_RESIDUE,
     CoeffRecord,
     CoeffTable,
     laurent_coefficient,
+    vanishes_by_divisibility,
     zero_census,
 )
-from .exact import is_prime, rational
+from .exact import rational
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -300,20 +301,8 @@ def cmd_verify(cfg: RunConfig) -> int:
             table.add(CoeffRecord(d, m, value, "cached", -1))
     shortcut_pairs = []
     full_pairs = []
-    for d in cfg.degrees:
-        for m in range(cfg.m_max + 1):
-            divisible = (m + 1) % (d - 1) == 0
-            needs_value = (
-                ("main" in cfg.checks or "integrality" in cfg.checks) and divisible
-                or (d == 2 and any(c in cfg.checks for c in ("zagier", "ewing-schober")))
-                or (d == 2 and "levin" in cfg.checks and m % 2 == 1)
-                or ("yamashita" in cfg.checks and is_prime(d))
-                or "dadic" in cfg.checks
-            )
-            if needs_value:
-                shortcut_pairs.append((d, m))
-            if ("vanishing" in cfg.checks and d >= 3 and m >= 1 and not divisible):
-                full_pairs.append((d, m))
+    for name, d, m in applicable(cfg.degrees, cfg.m_max, cfg.checks):
+        (full_pairs if CHECKS[name].full else shortcut_pairs).append((d, m))
     _fill_table(table, shortcut_pairs, METHOD_RESIDUE, cfg.threads)
     full_table = CoeffTable()
     _fill_table(full_table, full_pairs, METHOD_RESIDUE, cfg.threads, shortcut=False)
@@ -328,11 +317,8 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 def cmd_census(cfg: RunConfig) -> int:
     table = CoeffTable()
-    pairs = []
-    for d in cfg.degrees:
-        for m in range(cfg.m_max + 1):
-            if d == 2 or (m + 1) % (d - 1) == 0:
-                pairs.append((d, m))
+    pairs = [(d, m) for d in cfg.degrees for m in range(cfg.m_max + 1)
+             if not vanishes_by_divisibility(d, m)]
     _fill_table(table, pairs, METHOD_RESIDUE, cfg.threads)
     lines = []
     summaries = []

@@ -56,6 +56,14 @@ def _iterated_polynomial(d, n):
     return poly
 
 
+def vanishes_by_divisibility(d: int, m: int) -> bool:
+    """True when (d-1) does not divide (m+1), which forces b_m = 0.
+
+    Never true for d = 2; true at m = 0 for every d >= 3.
+    """
+    return (m + 1) % (d - 1) != 0
+
+
 def choose_n(d: int, m: int) -> int:
     """Smallest iteration order n >= 1 whose series window covers index m.
 
@@ -95,8 +103,7 @@ def coefficient_by_residue(d: int, m: int, n: int | None = None):
         n = choose_n(d, m)
     _check_order(d, m, n)
     q = _iterated_polynomial(d, n)
-    tail = rational_power_tail(q, rational(m, d**n), m + 1)
-    return -tail.coefficient_at(-1) / m
+    return -rational_power_tail(q, rational(m, d**n), m + 1)[m + 1] / m
 
 
 def partition_index_tuples(d, n, target):
@@ -168,11 +175,7 @@ def laurent_coefficient(
     if m == 0:
         value = rational(-1, 2) if d == 2 else ZERO
         return CoeffRecord(d, m, value, METHOD_SPECIAL, 0)
-    if (
-        use_vanishing_shortcut
-        and d >= 3
-        and (m + 1) % (d - 1) != 0
-    ):
+    if use_vanishing_shortcut and vanishes_by_divisibility(d, m):
         return CoeffRecord(d, m, ZERO, METHOD_SPECIAL, 0)
     if n is None:
         n = choose_n(d, m)
@@ -223,7 +226,7 @@ class CoeffTable:
 
 def zero_census(d: int, m_max: int, table: CoeffTable | None = None):
     """All m <= m_max with b_m = 0, flagged by whether the vanishing is
-    explained (d >= 3 with (d-1) not dividing (m+1), which covers m = 0).
+    explained by ``vanishes_by_divisibility`` (which covers m = 0 for d >= 3).
 
     Unexplained candidates are found by full computation; no pattern
     beyond the divisibility criterion is assumed.
@@ -234,7 +237,7 @@ def zero_census(d: int, m_max: int, table: CoeffTable | None = None):
         table = CoeffTable()
     zeros = []
     for m in range(m_max + 1):
-        if d >= 3 and (m + 1) % (d - 1) != 0:
+        if vanishes_by_divisibility(d, m):
             zeros.append((m, True))
         elif table.value(d, m) == 0:
             zeros.append((m, False))

@@ -188,6 +188,17 @@ def factorize(d: int) -> list[tuple[int, int]]:
     return factors
 
 
+def is_d_adic(den: int, d: int) -> bool:
+    """Whether every prime factor of the positive integer den divides d.
+
+    Exactly then den divides rad(d)^e, with rad(d) the product of d's
+    primes and e at least every exponent in den; den's bit length is
+    such an e, so one modular power decides it however large den is.
+    """
+    rad = math.prod(p for p, _ in factorize(d))
+    return pow(rad, den.bit_length(), den) == 0
+
+
 def binomial_general(a, j: int):
     """Generalized binomial coefficient a(a-1)...(a-j+1) / j! for rational a.
 

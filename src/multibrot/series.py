@@ -11,23 +11,14 @@ the terms times one common denominator, which grows as the terms need
 it and may only contain primes of the exponent's denominator (any other
 prime is an ``ArithmeticError``); the rationals are built once, at the
 end.
-
-Truncated tails never read past their window: ``coefficient_at`` raises
-``SeriesWindowError`` instead of silently returning a truncated-away
-term.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from math import gcd
 
-from .exact import rational, ZERO
-
-
-class SeriesWindowError(ValueError):
-    """Requested a coefficient outside a truncated series' window."""
+from .exact import rational
 
 
 def poly_mul(a, b):
@@ -39,14 +30,6 @@ def poly_mul(a, b):
                 if bj:
                     out[i + j] += ai * bj
     return tuple(out)
-
-
-def poly_eval(coeffs, x):
-    """Evaluate a dense polynomial at x (Horner)."""
-    acc = 0
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
 
 
 def iterate_parameter_polynomial(d: int, n: int) -> tuple[int, ...]:
@@ -73,53 +56,12 @@ def iterate_parameter_polynomial(d: int, n: int) -> tuple[int, ...]:
     return q
 
 
-@dataclass(frozen=True)
-class TailSeries:
-    """Truncation of z^leading_power * sum(tail[k] * z^-k, k = 0..order).
-
-    tail[0] is 1 for every series produced by ``rational_power_tail``.
-    """
-
-    leading_power: int
-    tail: tuple
-    truncation_order: int
-
-    def __post_init__(self):
-        if len(self.tail) != self.truncation_order + 1:
-            raise ValueError("tail length must be truncation_order + 1")
-
-    def coefficient_at(self, power: int):
-        """Coefficient of z^power; errors outside the retained window."""
-        k = self.leading_power - power
-        if k < 0 or k > self.truncation_order:
-            raise SeriesWindowError(
-                f"z^{power} is outside the window "
-                f"[z^{self.leading_power - self.truncation_order}, z^{self.leading_power}]"
-            )
-        return self.tail[k]
-
-    def __mul__(self, other):
-        if not isinstance(other, TailSeries):
-            return NotImplemented
-        order = min(self.truncation_order, other.truncation_order)
-        prod = [ZERO] * (order + 1)
-        for i, a in enumerate(self.tail[: order + 1]):
-            if a:
-                for j, b in enumerate(other.tail[: order + 1 - i]):
-                    if b:
-                        prod[i + j] += a * b
-        return TailSeries(
-            leading_power=self.leading_power + other.leading_power,
-            tail=tuple(prod),
-            truncation_order=order,
-        )
-
-
-def rational_power_tail(q_coeffs, exponent, order: int) -> TailSeries:
+def rational_power_tail(q_coeffs, exponent, order: int) -> tuple:
     """Expand Q(z)^exponent at infinity, truncated after ``order`` tail terms.
 
     Q must be monic of some degree D and exponent * D must be an integer
-    m (the leading power of the result).  Writing Q(z) = z^D (1 + u) with
+    m, so that Q(z)^exponent = z^m * sum(f_k z^-k); the result is the
+    tuple (f_0, ..., f_order), with f_0 = 1.  Writing Q(z) = z^D (1 + u) with
     u a polynomial in w = 1/z vanishing at w = 0, the tail is the
     binomial series (1 + u)^exponent mod w^(order+1), computed by the
     first-order recurrence obtained from f' (1+u) = exponent * u' f:
@@ -140,8 +82,8 @@ def rational_power_tail(q_coeffs, exponent, order: int) -> TailSeries:
     for d = 2, m = 299, where the a-priori bound order! * b^order has
     4442).  Every f_k is a sum of binomial terms in a/b, so that factor
     can only contain primes dividing b; any other prime means the
-    arithmetic went wrong and raises ``ArithmeticError``.  Each tail
-    term is returned as the rational g_k / S.
+    arithmetic went wrong and raises ``ArithmeticError``.  Each f_k is
+    returned as the rational g_k / S.
     """
     if order < 0:
         raise ValueError("truncation order must be >= 0")
@@ -151,12 +93,10 @@ def rational_power_tail(q_coeffs, exponent, order: int) -> TailSeries:
     if degree < 1 or q_coeffs[degree] != 1:
         raise ValueError("Q must be monic of degree >= 1")
     alpha = rational(exponent)
-    lead = alpha * degree
-    if lead.denominator != 1:
+    if (alpha * degree).denominator != 1:
         raise ValueError(
             f"exponent {alpha} times degree {degree} must be an integer leading power"
         )
-    lead = int(lead)
     a, b = int(alpha.numerator), int(alpha.denominator)
 
     # u_i is the coefficient of z^(D-i), i.e. of w^i after factoring z^D.
@@ -188,8 +128,4 @@ def rational_power_tail(q_coeffs, exponent, order: int) -> TailSeries:
             g[:k] = [g_j * grow for g_j in g[:k]]
             acc *= grow
         g[k] = acc // bk
-    return TailSeries(
-        leading_power=lead,
-        tail=tuple(rational(g_k, scale) for g_k in g),
-        truncation_order=order,
-    )
+    return tuple(rational(g_k, scale) for g_k in g)

@@ -147,6 +147,12 @@ def test_round_trip_above_the_int_str_digit_cap(tmp_path):
     assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
 
 
+def test_large_foreign_prime_in_denominator_rejected():
+    text = format_table([(2, 9999, rational(1, 2**66439 * 3))])
+    with pytest.raises(CacheFormatError, match="prime factor"):
+        parse_table(text)
+
+
 def test_agreeing_duplicates_collapse():
     text = format_table([(2, 1, rational(1, 8)), (2, 1, rational(1, 8))])
     assert text.count("2,1,1,8") == 1

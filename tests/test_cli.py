@@ -177,6 +177,60 @@ class TestVerify:
         assert code == EXIT_IO
         assert "bad coefficient table" in err
 
+    def test_non_utf8_cache_is_io_error(self, capsys, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"\xff\xfe\x00garbage\n")
+        code, _, err = run(capsys, "verify", "--d", "2", "--m-max", "3",
+                           "--threads", "1", "--cache", str(path))
+        assert code == EXIT_IO
+        assert "bad coefficient table" in err and "UTF-8" in err
+
+    def test_report_digest_for_degrees_two_to_six(self, capsys):
+        # Byte-exact report for d = 2..6, m <= 200, all checks; the 71
+        # failures are the refuted Yamashita floor form (criterion 07).
+        code, out, _ = run(capsys, "verify", "--d", "2,3,4,5,6", "--m-max", "200",
+                           "--threads", "1")
+        assert code == EXIT_VERIFICATION
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "9686911a6167be45387c466c771400384f0aa343fdb628b22e94c7ac4aded104"
+        )
+
+    def test_checks_compute_no_coefficient_lazily(self, capsys, monkeypatch):
+        # Every coefficient a check reads must come from the tables that
+        # cmd_verify fills up front, serially or in the pool.
+        import multibrot.checks as checks_mod
+        import multibrot.cli as cli_mod
+        import multibrot.coeffs as coeffs_mod
+
+        inside = []
+        lazy = []
+
+        def counting(real):
+            def wrapper(d, m, **kwargs):
+                if inside:
+                    lazy.append((d, m))
+                return real(d, m, **kwargs)
+            return wrapper
+
+        for module in (coeffs_mod, checks_mod):
+            monkeypatch.setattr(module, "laurent_coefficient",
+                                counting(module.laurent_coefficient))
+        real_suite = cli_mod.suite_verdicts
+
+        def suite(*args, **kwargs):
+            inside.append(True)
+            try:
+                return real_suite(*args, **kwargs)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(cli_mod, "suite_verdicts", suite)
+        code, out, _ = run(capsys, "verify", "--d", "2,3,4,5,6", "--m-max", "30",
+                           "--threads", "1")
+        assert code == EXIT_VERIFICATION
+        assert len(out.splitlines()) > 2
+        assert lazy == []
+
     def test_unwritable_report_is_io_error(self, capsys, tmp_path):
         code, _, _ = run(capsys, "verify", "--d", "2", "--m-max", "3", "--threads", "1",
                          "--checks", "zagier",
@@ -185,6 +239,14 @@ class TestVerify:
 
 
 class TestCensus:
+    def test_census_digest_for_degrees_two_to_six(self, capsys):
+        code, out, _ = run(capsys, "census", "--d", "2,3,4,5,6", "--m-max", "200",
+                           "--threads", "1")
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "0676723c5026df14ee077d6c637a044fc7440d4cef54b741e1be9ced05deecd2"
+        )
+
     def test_degree_two(self, capsys):
         code, out, _ = run(capsys, "census", "--d", "2", "--m-max", "10", "--threads", "1")
         assert code == EXIT_OK

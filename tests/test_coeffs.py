@@ -13,6 +13,7 @@ from multibrot.coeffs import (
     coefficient_by_residue,
     laurent_coefficient,
     partition_index_tuples,
+    vanishes_by_divisibility,
     zero_census,
 )
 from multibrot.exact import factorize, padic_valuation, rational
@@ -217,6 +218,15 @@ class TestDynamicalInversion:
             n += 1
         recovered = math.exp(math.log(abs(z)) / d**n)
         assert recovered == pytest.approx(z0, abs=1e-9)
+
+
+class TestVanishesByDivisibility:
+    def test_never_for_degree_two(self):
+        assert not any(vanishes_by_divisibility(2, m) for m in range(100))
+
+    def test_degree_four(self):
+        # (d-1) = 3 divides m+1 exactly at m = 2, 5, 8, ...
+        assert [m for m in range(10) if not vanishes_by_divisibility(4, m)] == [2, 5, 8]
 
 
 class TestZeroCensus:

@@ -12,6 +12,7 @@ from multibrot.exact import (
     factorial_valuation,
     factorize,
     floor_rational,
+    is_d_adic,
     is_prime,
     padic_valuation,
     rational,
@@ -119,6 +120,22 @@ class TestFactorize:
             product *= p**t
         assert product == d
         assert [p for p, _ in factors] == sorted(p for p, _ in factors)
+
+
+class TestIsDAdic:
+    def test_matches_dividing_out_each_prime(self):
+        for d in range(2, 13):
+            for den in range(1, 2000):
+                rest = den
+                for p, _ in factorize(d):
+                    while rest % p == 0:
+                        rest //= p
+                assert is_d_adic(den, d) == (rest == 1), (den, d)
+
+    def test_large_powers(self):
+        assert is_d_adic(2**66439, 2)
+        assert is_d_adic(2**20000 * 3**15000, 6)
+        assert not is_d_adic(2**66439 * 7, 2)
 
 
 class TestBinomialGeneral:
