@@ -55,6 +55,20 @@ def unlimited_int_digits():
         sys.set_int_max_str_digits(previous)
 
 
+def _payload_digest(lines) -> str:
+    """SHA-256 hex of the payload lines, each followed by its newline."""
+    digest = hashlib.sha256()
+    for line in lines:
+        digest.update(line.encode("utf-8") + b"\n")
+    return digest.hexdigest()
+
+
+def checksummed_text(header: str, lines) -> str:
+    """The header, the payload lines and the ``#sha256:`` footer over them:
+    the layout shared by coefficient tables and verification reports."""
+    return "\n".join([header, *lines, _CHECKSUM_PREFIX + _payload_digest(lines)]) + "\n"
+
+
 def coefficient_line(d: int, m: int, value) -> str:
     value = rational(value)
     return f"{d},{m},{value.numerator},{value.denominator}"
@@ -81,13 +95,7 @@ def format_table(records) -> str:
             continue
         seen.add((d, m))
         lines.append(coefficient_line(d, m, value))
-    digest = hashlib.sha256()
-    for line in lines:
-        digest.update(line.encode("utf-8") + b"\n")
-    parts = [HEADER]
-    parts.extend(lines)
-    parts.append(_CHECKSUM_PREFIX + digest.hexdigest())
-    return "\n".join(parts) + "\n"
+    return checksummed_text(HEADER, lines)
 
 
 def store_coefficients(path, records) -> None:
@@ -109,14 +117,12 @@ def parse_table(text: str) -> list[tuple[int, int, object]]:
         raise CacheFormatError(f"line {len(lines)}: missing trailing {_CHECKSUM_PREFIX}<hex> line")
     payload = lines[1:-1]
 
-    digest = hashlib.sha256()
-    for line in payload:
-        digest.update(line.encode("utf-8") + b"\n")
+    computed = _payload_digest(payload)
     recorded = lines[-1][len(_CHECKSUM_PREFIX):].strip()
-    if recorded != digest.hexdigest():
+    if recorded != computed:
         raise CacheChecksumError(
             f"line {len(lines)}: checksum mismatch "
-            f"(recorded {recorded[:12]}..., computed {digest.hexdigest()[:12]}...)"
+            f"(recorded {recorded[:12]}..., computed {computed[:12]}...)"
         )
 
     triples = []

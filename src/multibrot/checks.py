@@ -34,10 +34,10 @@ the command line both read it through ``applicable``.
 
 from __future__ import annotations
 
-import hashlib
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 
+from .cache import checksummed_text
 from .exact import (
     NEG_INF,
     POS_INF,
@@ -48,7 +48,8 @@ from .exact import (
     padic_valuation,
 )
 from .coeffs import (
-    METHOD_SPECIAL,
+    METHOD_COMBINATORIAL,
+    METHOD_RESIDUE,
     CoeffTable,
     laurent_coefficient,
     vanishes_by_divisibility,
@@ -169,8 +170,9 @@ def check_vanishing(
     """Full computation (shortcut disabled) must return exactly zero.
 
     ``full_table`` may hold precomputed records, but only ones that came
-    from an actual series/sum evaluation are trusted; shortcut records
-    are ignored and recomputed, otherwise the check would be vacuous.
+    from an actual series/sum evaluation are trusted; shortcut and cached
+    records are ignored and recomputed, otherwise the check would be
+    vacuous.
     """
     if d < 3:
         raise ValueError("check_vanishing applies to d >= 3")
@@ -181,17 +183,13 @@ def check_vanishing(
     record = None
     if full_table is not None:
         candidate = full_table.get(d, m)
-        if candidate is not None and candidate.method != METHOD_SPECIAL:
+        if candidate is not None and candidate.method in (METHOD_RESIDUE, METHOD_COMBINATORIAL):
             record = candidate
     if record is None:
         record = laurent_coefficient(d, m, method=method, use_vanishing_shortcut=False)
     p_smallest = factorize(d)[0][0]
     attained = denominator_exponent(record.value, p_smallest)
     return _bound_verdict("vanishing", d, m, None, NEG_INF, attained, equality_predicted=True)
-
-
-def rational_denominator(value) -> int:
-    return 1 if isinstance(value, int) else int(value.denominator)
 
 
 def check_integrality(d: int, m: int, table: CoeffTable | None = None) -> Verdict:
@@ -203,21 +201,17 @@ def check_integrality(d: int, m: int, table: CoeffTable | None = None) -> Verdic
     factors = factorize(d)
     bound = max(-(-(factorial_valuation(a, p) + t * a) // t) for p, t in factors)
     # smallest e >= 0 with value * d^e integral; +inf if no power of d clears it
-    den = int(rational_denominator(value))
-    needed = 0
-    for p, t in factors:
-        v = 0
-        while den % p == 0:
-            den //= p
-            v += 1
-        needed = max(needed, -(-v // t))
-    attained = needed if den == 1 else POS_INF
+    den = value.denominator
+    if is_d_adic(den, d):
+        attained = max(-(-padic_valuation(den, p) // t) for p, t in factors)
+    else:
+        attained = POS_INF
     return _bound_verdict("integrality", d, m, None, bound, attained)
 
 
 def check_dadic(d: int, m: int, table: CoeffTable | None = None) -> Verdict:
     """Every prime factor of the denominator divides d."""
-    passed = is_d_adic(rational_denominator(_table(table).value(d, m)), d)
+    passed = is_d_adic(_table(table).value(d, m).denominator, d)
     return Verdict("dadic", d, m, None, None, None, None, None, passed)
 
 
@@ -229,8 +223,8 @@ def _sort_key(v: Verdict):
 class Check:
     """Where a check applies, and its verdicts at one (d, m).
 
-    ``full`` checks read coefficients computed without the vanishing
-    shortcut; the others read the ordinary table.
+    ``full`` checks need their coefficients computed without the
+    vanishing shortcut, so the command line computes those pairs in full.
     """
 
     applies: Callable[[int, int], bool]
@@ -277,15 +271,13 @@ def suite_verdicts(
     m_max: int,
     checks,
     table: CoeffTable | None = None,
-    full_table: CoeffTable | None = None,
 ) -> list[Verdict]:
     """Every applicable verdict for the requested checks, sorted by
     (check, d, m, p) so that two runs diff cleanly."""
     table = _table(table)
     verdicts: list[Verdict] = []
     for name, d, m in applicable(degrees, m_max, checks):
-        check = CHECKS[name]
-        verdicts.extend(check.verdicts(d, m, full_table if check.full else table))
+        verdicts.extend(CHECKS[name].verdicts(d, m, table))
     verdicts.sort(key=_sort_key)
     return verdicts
 
@@ -324,13 +316,7 @@ def verdict_line(v: Verdict) -> str:
 
 def format_report(verdicts) -> str:
     lines = [verdict_line(v) for v in sorted(verdicts, key=_sort_key)]
-    digest = hashlib.sha256()
-    for line in lines:
-        digest.update(line.encode("utf-8") + b"\n")
-    parts = [REPORT_HEADER]
-    parts.extend(lines)
-    parts.append("#sha256:" + digest.hexdigest())
-    return "\n".join(parts) + "\n"
+    return checksummed_text(REPORT_HEADER, lines)
 
 
 def write_report(path, verdicts) -> None:

@@ -6,9 +6,9 @@ whether the divisibility criterion explains them), and ``bench``
 (timings plus cross-method/cross-thread-count correctness hashes).
 
 Exit codes: 0 success, 1 verification failure or method disagreement,
-2 usage error, 3 I/O error.  Output is deterministic: work is
-partitioned by index and merged in sorted order, so any worker count
-produces byte-identical results.
+2 usage error, 3 I/O error or a broken worker pool.  Output is
+deterministic: work is partitioned by index and merged in sorted order,
+so any worker count produces byte-identical results.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import cache
@@ -33,7 +32,6 @@ from .coeffs import (
     vanishes_by_divisibility,
     zero_census,
 )
-from .exact import rational
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -45,20 +43,6 @@ CACHE_DIR_ENV = "MULTIBROT_CACHE_DIR"
 
 class UsageError(ValueError):
     pass
-
-
-@dataclass
-class RunConfig:
-    command: str
-    degrees: list[int]
-    m_max: int
-    method: str = METHOD_RESIDUE
-    cache_path: Path | None = None
-    output: str = "csv"
-    checks: list[str] = field(default_factory=list)
-    threads: int = 1
-    report_path: Path | None = None
-    threads_compare: int | None = None
 
 
 def _parse_degrees(raw: list[str]) -> list[int]:
@@ -98,9 +82,7 @@ def _parse_checks(raw: list[str] | None) -> list[str]:
     return names
 
 
-def _resolve_cache_path(raw: str | None) -> Path | None:
-    if raw is None:
-        return None
+def _resolve_cache_path(raw: str) -> Path:
     path = Path(raw)
     base = os.environ.get(CACHE_DIR_ENV)
     if base and not path.is_absolute():
@@ -159,98 +141,71 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def build_config(args: argparse.Namespace) -> RunConfig:
-    degrees = _parse_degrees(args.d) if args.d else [2]
+def normalize_args(args: argparse.Namespace) -> None:
+    """Validate the parsed arguments and normalize them in place: ``d``
+    becomes the sorted degree list, ``checks`` the list of check names and
+    ``cache`` the resolved path.  Raises ``UsageError``."""
+    args.d = _parse_degrees(args.d) if args.d else [2]
     if args.m_max < 0:
         raise UsageError("--m-max must be >= 0")
     if args.threads < 1:
         raise UsageError("--threads must be >= 1")
-    cfg = RunConfig(
-        command=args.command,
-        degrees=degrees,
-        m_max=args.m_max,
-        threads=args.threads,
-    )
-    if hasattr(args, "method"):
-        cfg.method = args.method
-    if hasattr(args, "output"):
-        cfg.output = args.output
+    if getattr(args, "threads_compare", None) is not None and args.threads_compare < 1:
+        raise UsageError("--threads-compare must be >= 1")
     if getattr(args, "cache", None) is not None:
-        cfg.cache_path = _resolve_cache_path(args.cache)
+        args.cache = _resolve_cache_path(args.cache)
     if args.command == "verify":
-        cfg.checks = _parse_checks(args.checks)
-        if args.report is not None:
-            cfg.report_path = Path(args.report)
-    if args.command == "bench":
-        cfg.threads_compare = args.threads_compare
-        if cfg.threads_compare is not None and cfg.threads_compare < 1:
-            raise UsageError("--threads-compare must be >= 1")
-    return cfg
+        args.checks = _parse_checks(args.checks)
 
 
 # ----------------------------------------------------------------------
 # parallel coefficient computation
 
 
-def _compute_chunk(task):
-    """Worker: coefficients for one degree and a list of indices.
+def _compute_chunk(jobs):
+    """Worker: the record of each (d, m, method, shortcut) job, in order."""
+    return [laurent_coefficient(d, m, method=method, use_vanishing_shortcut=shortcut)
+            for d, m, method, shortcut in jobs]
 
-    Returns plain-int tuples so results cross process boundaries cheaply.
+
+def _fill_table(table, pairs, method, threads, full_pairs=()):
+    """Compute the given (d, m) pairs that the table lacks, and every pair
+    in ``full_pairs`` with the vanishing shortcut off, in parallel if asked.
+
+    A full record replaces whatever the table held at its pair, so a
+    check that reads one never sees a cached or shortcut value.  Striped
+    partitioning of the sorted jobs balances the heavier high-index work;
+    the table is the single writer-side aggregation point, so results are
+    merged here regardless of completion order.
     """
-    d, m_list, method, shortcut = task
-    out = []
-    for m in m_list:
-        rec = laurent_coefficient(d, m, method=method, use_vanishing_shortcut=shortcut)
-        out.append((d, m, int(rec.value.numerator), int(rec.value.denominator),
-                    rec.method, rec.n_used))
-    return out
+    full = set(full_pairs)
+    jobs = sorted({(d, m, method, True) for d, m in pairs
+                   if (d, m) not in full and table.get(d, m) is None}
+                  | {(d, m, method, False) for d, m in full})
+    if threads <= 1 or len(jobs) < 4:
+        chunks = [_compute_chunk(jobs)]
+    else:
+        stripes = threads * 4
+        tasks = [jobs[s::stripes] for s in range(min(stripes, len(jobs)))]
+        try:
+            from concurrent.futures import ProcessPoolExecutor
 
-
-def _fill_table(table, pairs, method, threads, shortcut=True):
-    """Populate table with the given (d, m) pairs, in parallel if asked.
-
-    Striped partitioning balances the heavier high-index work; the table
-    is the single writer-side aggregation point, so results are merged
-    here regardless of completion order.
-    """
-    todo = sorted({(d, m) for d, m in pairs if table.get(d, m) is None})
-    if not todo:
-        return
-    if threads <= 1 or len(todo) < 4:
-        for d, m in todo:
-            table.add(laurent_coefficient(d, m, method=method,
-                                          use_vanishing_shortcut=shortcut))
-        return
-    by_degree: dict[int, list[int]] = {}
-    for d, m in todo:
-        by_degree.setdefault(d, []).append(m)
-    stripes = threads * 4
-    tasks = []
-    for d in sorted(by_degree):
-        ms = sorted(by_degree[d])
-        for s in range(stripes):
-            stripe = ms[s::stripes]
-            if stripe:
-                tasks.append((d, stripe, method, shortcut))
-    try:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_compute_chunk, tasks))
-    except (ImportError, OSError) as exc:  # pragma: no cover - sandboxed hosts
-        print(f"multibrot: process pool unavailable ({exc}); running serially",
-              file=sys.stderr)
-        results = [_compute_chunk(t) for t in tasks]
-    for chunk in results:
-        for d, m, num, den, meth, n_used in chunk:
-            table.add(CoeffRecord(d, m, rational(num, den), meth, n_used))
+            with ProcessPoolExecutor(max_workers=threads) as pool:
+                chunks = list(pool.map(_compute_chunk, tasks))
+        except (ImportError, OSError) as exc:  # pragma: no cover - sandboxed hosts
+            print(f"multibrot: process pool unavailable ({exc}); running serially",
+                  file=sys.stderr)
+            chunks = [_compute_chunk(t) for t in tasks]
+    for chunk in chunks:
+        for record in chunk:
+            table.add(record)
 
 
 # ----------------------------------------------------------------------
 # subcommands
 
 
-def _emit(text: str, path: Path | None):
+def _emit(text: str, path: str | Path | None):
     if path is None:
         sys.stdout.write(text)
     else:
@@ -271,14 +226,14 @@ def _records_json_lines(records) -> str:
     return "\n".join(lines) + "\n" if lines else ""
 
 
-def cmd_compute(cfg: RunConfig) -> int:
-    pairs = [(d, m) for d in cfg.degrees for m in range(cfg.m_max + 1)]
-    primary = METHOD_RESIDUE if cfg.method == "both" else cfg.method
+def cmd_compute(args) -> int:
+    pairs = [(d, m) for d in args.d for m in range(args.m_max + 1)]
+    primary = METHOD_RESIDUE if args.method == "both" else args.method
     table = CoeffTable(method=primary)
-    _fill_table(table, pairs, primary, cfg.threads)
-    if cfg.method == "both":
+    _fill_table(table, pairs, primary, args.threads)
+    if args.method == "both":
         other = CoeffTable(method=METHOD_COMBINATORIAL)
-        _fill_table(other, pairs, METHOD_COMBINATORIAL, cfg.threads)
+        _fill_table(other, pairs, METHOD_COMBINATORIAL, args.threads)
         for d, m in pairs:
             a, b = table.value(d, m), other.value(d, m)
             if a != b:
@@ -286,46 +241,44 @@ def cmd_compute(cfg: RunConfig) -> int:
                       f"residue={a}, combinatorial={b}", file=sys.stderr)
                 return EXIT_VERIFICATION
     records = table.records_sorted()
-    if cfg.output == "csv":
+    if args.output == "csv":
         text = cache.format_table(records)
     else:
         text = _records_json_lines(records)
-    _emit(text, cfg.cache_path)
+    _emit(text, args.cache)
     return EXIT_OK
 
 
-def cmd_verify(cfg: RunConfig) -> int:
+def cmd_verify(args) -> int:
     table = CoeffTable()
-    if cfg.cache_path is not None:
-        for d, m, value in cache.load_coefficients(cfg.cache_path):
+    if args.cache is not None:
+        for d, m, value in cache.load_coefficients(args.cache):
             table.add(CoeffRecord(d, m, value, "cached", -1))
-    shortcut_pairs = []
+    pairs = []
     full_pairs = []
-    for name, d, m in applicable(cfg.degrees, cfg.m_max, cfg.checks):
-        (full_pairs if CHECKS[name].full else shortcut_pairs).append((d, m))
-    _fill_table(table, shortcut_pairs, METHOD_RESIDUE, cfg.threads)
-    full_table = CoeffTable()
-    _fill_table(full_table, full_pairs, METHOD_RESIDUE, cfg.threads, shortcut=False)
+    for name, d, m in applicable(args.d, args.m_max, args.checks):
+        (full_pairs if CHECKS[name].full else pairs).append((d, m))
+    _fill_table(table, pairs, METHOD_RESIDUE, args.threads, full_pairs)
 
-    verdicts = suite_verdicts(cfg.degrees, cfg.m_max, cfg.checks, table, full_table)
-    _emit(format_report(verdicts), cfg.report_path)
+    verdicts = suite_verdicts(args.d, args.m_max, args.checks, table)
+    _emit(format_report(verdicts), args.report)
     failures = [v for v in verdicts if not v.passed]
     print(f"multibrot verify: {len(verdicts)} verdicts, {len(failures)} failures",
           file=sys.stderr)
     return EXIT_VERIFICATION if failures else EXIT_OK
 
 
-def cmd_census(cfg: RunConfig) -> int:
+def cmd_census(args) -> int:
     table = CoeffTable()
-    pairs = [(d, m) for d in cfg.degrees for m in range(cfg.m_max + 1)
+    pairs = [(d, m) for d in args.d for m in range(args.m_max + 1)
              if not vanishes_by_divisibility(d, m)]
-    _fill_table(table, pairs, METHOD_RESIDUE, cfg.threads)
+    _fill_table(table, pairs, METHOD_RESIDUE, args.threads)
     lines = []
     summaries = []
-    for d in cfg.degrees:
-        zeros = zero_census(d, cfg.m_max, table)
+    for d in args.d:
+        zeros = zero_census(d, args.m_max, table)
         for m, explained in zeros:
-            if cfg.output == "csv":
+            if args.output == "csv":
                 lines.append(f"{d},{m},{'true' if explained else 'false'}")
             else:
                 lines.append(json.dumps(
@@ -340,8 +293,8 @@ def cmd_census(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _bench_one(cfg: RunConfig, method: str, threads: int):
-    pairs = [(d, m) for d in cfg.degrees for m in range(cfg.m_max + 1)]
+def _bench_one(args, method: str, threads: int):
+    pairs = [(d, m) for d in args.d for m in range(args.m_max + 1)]
     table = CoeffTable(method=method)
     start = time.perf_counter()
     _fill_table(table, pairs, method, threads)
@@ -350,23 +303,23 @@ def _bench_one(cfg: RunConfig, method: str, threads: int):
     peak_bits = 0
     for rec in records:
         peak_bits = max(peak_bits,
-                        int(rec.value.numerator).bit_length(),
-                        int(rec.value.denominator).bit_length())
+                        rec.value.numerator.bit_length(),
+                        rec.value.denominator.bit_length())
     digest = hashlib.sha256(cache.format_table(records).encode("utf-8")).hexdigest()
     return elapsed, peak_bits, digest
 
 
-def cmd_bench(cfg: RunConfig) -> int:
+def cmd_bench(args) -> int:
     methods = ([METHOD_RESIDUE, METHOD_COMBINATORIAL]
-               if cfg.method == "both" else [cfg.method])
-    thread_counts = [cfg.threads]
-    if cfg.threads_compare is not None and cfg.threads_compare != cfg.threads:
-        thread_counts.append(cfg.threads_compare)
+               if args.method == "both" else [args.method])
+    thread_counts = [args.threads]
+    if args.threads_compare is not None and args.threads_compare != args.threads:
+        thread_counts.append(args.threads_compare)
     print("method,threads,seconds,peak_coeff_bits,sha256")
     hashes = {}
     for method in methods:
         for threads in thread_counts:
-            elapsed, peak_bits, digest = _bench_one(cfg, method, threads)
+            elapsed, peak_bits, digest = _bench_one(args, method, threads)
             hashes[(method, threads)] = digest
             print(f"{method},{threads},{elapsed:.3f},{peak_bits},{digest}")
     distinct = set(hashes.values())
@@ -381,7 +334,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = build_config(args)
+        normalize_args(args)
     except UsageError as exc:
         print(f"multibrot: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -392,12 +345,20 @@ def main(argv=None) -> int:
         "bench": cmd_bench,
     }
     try:
-        return handlers[cfg.command](cfg)
+        return handlers[args.command](args)
     except cache.CacheFormatError as exc:
         print(f"multibrot: bad coefficient table: {exc}", file=sys.stderr)
         return EXIT_IO
     except OSError as exc:
         print(f"multibrot: I/O error: {exc}", file=sys.stderr)
+        return EXIT_IO
+    except RuntimeError as exc:
+        # imported here: the module takes a third of the CLI's import time
+        from concurrent.futures.process import BrokenProcessPool
+
+        if not isinstance(exc, BrokenProcessPool):
+            raise
+        print(f"multibrot: worker pool broke: {exc}", file=sys.stderr)
         return EXIT_IO
 
 

@@ -1,13 +1,11 @@
 """Exact arithmetic substrate: rationals, p-adic valuations, factorizations.
 
-Every quantity in this package is an exact rational.  The canonical value
-type is ``gmpy2.mpq`` when the optional ``gmp`` extra (gmpy2) is
-installed, with ``fractions.Fraction`` as the pure-Python default.  Both
-keep values in lowest terms with a positive denominator, and they
-interoperate (``==``, ``hash``, arithmetic), so callers may pass either.
-The hot kernels (the series recurrence, ``binomial_general``) run on
-Python ints and build one rational per result, so the backend matters
-mostly outside them.
+Every quantity in this package is an exact rational, a
+``fractions.Fraction`` (``rational`` here), which keeps values in lowest
+terms with a positive denominator; ints stand for themselves wherever a
+rational is expected.  The hot kernels (the series recurrence,
+``binomial_general``) run on Python ints and build one rational per
+result.
 
 Valuations take values in the integers extended by infinity:
 ``padic_valuation(0, p)`` is ``POS_INF``, and the negated valuation of a
@@ -19,25 +17,13 @@ unambiguous.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from typing import Union
 
-try:
-    from gmpy2 import mpq as _mpq
-
-    def rational(numerator=0, denominator=1):
-        """Exact rational in lowest terms (gmpy2 backend)."""
-        return _mpq(numerator, denominator)
-
-    GMP_BACKEND = True
-except ImportError:  # pragma: no cover - exercised only without gmpy2
-    from fractions import Fraction as _Fraction
-
-    def rational(numerator=0, denominator=1):
-        """Exact rational in lowest terms (fractions backend)."""
-        return _Fraction(numerator, denominator)
-
-    GMP_BACKEND = False
-
+rational = Fraction
+# No other backend exists; the flag stays because perfbench/run.py reads
+# it for the environment record of each benchmark run.
+GMP_BACKEND = False
 
 ZERO = rational(0)
 ONE = rational(1)
@@ -133,18 +119,27 @@ def padic_valuation(x, p: int) -> ExtendedInt:
     _require_prime(p)
     if x == 0:
         return POS_INF
-    if isinstance(x, int):
-        num, den = x, 1
-    else:
-        num, den = int(x.numerator), int(x.denominator)
-    v = 0
-    num = abs(num)
-    while num % p == 0:
-        num //= p
-        v += 1
-    while den % p == 0:
-        den //= p
-        v -= 1
+    return _multiplicity(x.numerator, p) - _multiplicity(x.denominator, p)
+
+
+def _multiplicity(n: int, p: int) -> int:
+    """Exponent of p in the nonzero int n.
+
+    Divides out p, p^2, p^4, ... while each divides, then tries each of
+    those powers once more, largest first, so an exponent v costs about
+    2*log2(v) big divisions instead of v.
+    """
+    powers = []
+    q = p
+    while n % q == 0:
+        n //= q
+        powers.append(q)
+        q *= q
+    v = (1 << len(powers)) - 1
+    for i in reversed(range(len(powers))):
+        if n % powers[i] == 0:
+            n //= powers[i]
+            v += 1 << i
     return v
 
 
@@ -209,7 +204,7 @@ def binomial_general(a, j: int):
     """
     if j < 0:
         raise ValueError("j must be non-negative")
-    p, q = int(a.numerator), int(a.denominator)
+    p, q = a.numerator, a.denominator
     numerator = 1
     for i in range(j):
         numerator *= p - i * q

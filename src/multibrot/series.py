@@ -97,7 +97,7 @@ def rational_power_tail(q_coeffs, exponent, order: int) -> tuple:
         raise ValueError(
             f"exponent {alpha} times degree {degree} must be an integer leading power"
         )
-    a, b = int(alpha.numerator), int(alpha.denominator)
+    a, b = alpha.numerator, alpha.denominator
 
     # u_i is the coefficient of z^(D-i), i.e. of w^i after factoring z^D.
     # Step k weighs u_i g_{k-i} by a*i - b(k-i) = (a+b)*i - b*k, so the

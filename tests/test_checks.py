@@ -188,11 +188,12 @@ class TestVanishing:
             check_vanishing(3, 0)
 
     def test_ignores_shortcut_records_in_full_table(self):
-        # a poisoned shortcut record must not make the check vacuous
-        poisoned = CoeffTable()
-        poisoned.add(CoeffRecord(3, 2, rational(1, 9), "special-case", 0))
-        v = check_vanishing(3, 2, full_table=poisoned)
-        assert v.passed
+        # a poisoned shortcut or cached record must not make the check vacuous
+        for method in ("special-case", "cached"):
+            poisoned = CoeffTable()
+            poisoned.add(CoeffRecord(3, 2, rational(1, 9), method, 0))
+            v = check_vanishing(3, 2, full_table=poisoned)
+            assert v.passed, method
 
     def test_trusts_genuine_full_records(self):
         full = CoeffTable()

@@ -1,5 +1,7 @@
 import hashlib
 import json
+import multiprocessing
+import os
 import sys
 
 import pytest
@@ -231,6 +233,31 @@ class TestVerify:
         assert len(out.splitlines()) > 2
         assert lazy == []
 
+    def test_cached_values_at_vanishing_indices_are_recomputed(self, capsys, tmp_path):
+        # a checksummed but wrong b_2 = 1/9 for d = 3: the vanishing check
+        # needs (3, 2) computed in full, and yamashita reads that record too
+        path = tmp_path / "table.csv"
+        cache.store_coefficients(path, [(3, 2, rational(1, 9))])
+        code, out, _ = run(capsys, "verify", "--d", "3", "--m-max", "4", "--threads", "1",
+                           "--checks", "vanishing,yamashita", "--cache", str(path))
+        assert code == EXIT_OK
+        assert "vanishing,3,2,-,neg_inf,neg_inf,true,true,true" in out.splitlines()
+
+    def test_one_process_pool(self, capsys, monkeypatch):
+        import concurrent.futures
+
+        pools = []
+
+        class CountingPool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+        code, _, _ = run(capsys, "verify", "--d", "3", "--m-max", "30", "--threads", "2")
+        assert code == EXIT_VERIFICATION
+        assert len(pools) == 1
+
     def test_unwritable_report_is_io_error(self, capsys, tmp_path):
         code, _, _ = run(capsys, "verify", "--d", "2", "--m-max", "3", "--threads", "1",
                          "--checks", "zagier",
@@ -306,6 +333,25 @@ class TestDeterminism:
         assert main(args + ["--threads", "4", "--report", str(r4)]) == EXIT_OK
         capsys.readouterr()
         assert r1.read_bytes() == r4.read_bytes()
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="workers must inherit the patched function")
+def test_broken_process_pool_exits_3(capsys, monkeypatch):
+    import multibrot.cli as cli_mod
+
+    real = cli_mod.laurent_coefficient
+
+    def dying(d, m, **kwargs):
+        if m == 7:
+            os._exit(1)
+        return real(d, m, **kwargs)
+
+    monkeypatch.setattr(cli_mod, "laurent_coefficient", dying)
+    code, out, err = run(capsys, "compute", "--d", "2", "--m-max", "12", "--threads", "2")
+    assert code == EXIT_IO
+    assert out == ""
+    assert "worker pool broke" in err and "Traceback" not in err
 
 
 class TestUsageErrors:

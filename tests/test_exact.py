@@ -66,6 +66,11 @@ class TestPadicValuation:
         lhs = padic_valuation(m + n, p)
         assert lhs >= min(padic_valuation(m, p), padic_valuation(n, p))
 
+    def test_large_exponents(self):
+        assert padic_valuation(rational(1, 2**66439), 2) == -66439
+        assert padic_valuation(rational(3**15000 * 7, 2**20000 * 5), 3) == 15000
+        assert padic_valuation(-(5**4097), 5) == 4097
+
     def test_recover_prime_part(self):
         # x = p^v * r/q with p dividing neither r nor q
         x = rational(3**4 * 7, 2 * 3)
@@ -124,12 +129,16 @@ class TestFactorize:
 
 class TestIsDAdic:
     def test_matches_dividing_out_each_prime(self):
+        # the same loop also counts each prime's exponent for padic_valuation
         for d in range(2, 13):
             for den in range(1, 2000):
                 rest = den
                 for p, _ in factorize(d):
+                    v = 0
                     while rest % p == 0:
                         rest //= p
+                        v += 1
+                    assert padic_valuation(den, p) == v, (den, p)
                 assert is_d_adic(den, d) == (rest == 1), (den, d)
 
     def test_large_powers(self):
