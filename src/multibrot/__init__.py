@@ -26,11 +26,13 @@ from .coeffs import (
     METHOD_COMBINATORIAL,
     METHOD_RESIDUE,
     METHOD_SPECIAL,
+    METHOD_SWEEP,
     CoeffRecord,
     CoeffTable,
     choose_n,
     coefficient_by_partition_sum,
     coefficient_by_residue,
+    coefficients_by_sweep,
     laurent_coefficient,
     partition_index_tuples,
     zero_census,
@@ -77,11 +79,13 @@ __all__ = [
     "METHOD_COMBINATORIAL",
     "METHOD_RESIDUE",
     "METHOD_SPECIAL",
+    "METHOD_SWEEP",
     "CoeffRecord",
     "CoeffTable",
     "choose_n",
     "coefficient_by_partition_sum",
     "coefficient_by_residue",
+    "coefficients_by_sweep",
     "laurent_coefficient",
     "partition_index_tuples",
     "zero_census",

@@ -50,6 +50,7 @@ from .exact import (
 from .coeffs import (
     METHOD_COMBINATORIAL,
     METHOD_RESIDUE,
+    METHOD_SWEEP,
     CoeffTable,
     laurent_coefficient,
     vanishes_by_divisibility,
@@ -170,9 +171,9 @@ def check_vanishing(
     """Full computation (shortcut disabled) must return exactly zero.
 
     ``full_table`` may hold precomputed records, but only ones that came
-    from an actual series/sum evaluation are trusted; shortcut and cached
-    records are ignored and recomputed, otherwise the check would be
-    vacuous.
+    from an actual series/sum evaluation or a sweep are trusted; shortcut
+    and cached records are ignored and recomputed, otherwise the check
+    would be vacuous.
     """
     if d < 3:
         raise ValueError("check_vanishing applies to d >= 3")
@@ -183,7 +184,8 @@ def check_vanishing(
     record = None
     if full_table is not None:
         candidate = full_table.get(d, m)
-        if candidate is not None and candidate.method in (METHOD_RESIDUE, METHOD_COMBINATORIAL):
+        if candidate is not None and candidate.method in (
+                METHOD_RESIDUE, METHOD_COMBINATORIAL, METHOD_SWEEP):
             record = candidate
     if record is None:
         record = laurent_coefficient(d, m, method=method, use_vanishing_shortcut=False)

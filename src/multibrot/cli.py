@@ -5,10 +5,14 @@ with a machine-readable report), ``census`` (zero coefficients and
 whether the divisibility criterion explains them), and ``bench``
 (timings plus cross-method/cross-thread-count correctness hashes).
 
+``compute``, ``verify`` and ``census`` fill their tables serially, with
+one column sweep per degree.  Only ``bench`` starts worker processes:
+it times the per-index residue and partition-sum routes on ``--threads``
+workers, partitioned by index and merged in sorted order, so every
+worker count gives byte-identical tables.
+
 Exit codes: 0 success, 1 verification failure or method disagreement,
-2 usage error, 3 I/O error or a broken worker pool.  Output is
-deterministic: work is partitioned by index and merged in sorted order,
-so any worker count produces byte-identical results.
+2 usage error, 3 I/O error or (``bench`` only) a broken worker pool.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ import json
 import os
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 from . import cache
@@ -26,10 +31,12 @@ from .checks import CHECK_NAMES, CHECKS, applicable, format_report, suite_verdic
 from .coeffs import (
     METHOD_COMBINATORIAL,
     METHOD_RESIDUE,
+    METHOD_SWEEP,
     CoeffRecord,
     CoeffTable,
+    choose_n,
+    coefficients_by_sweep,
     laurent_coefficient,
-    vanishes_by_divisibility,
     zero_census,
 )
 
@@ -98,21 +105,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, method_default=None):
+    def common(p, methods=None, method_default=None):
         p.add_argument("--d", action="append", default=None, metavar="D[,D...]",
                        help="degree(s); repeatable or comma-separated (default: 2)")
         p.add_argument("--m-max", type=int, required=True, metavar="M",
                        help="largest coefficient index")
         p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                       help="worker processes (default: all cores); output is "
+                       help="worker processes for bench (default: all cores); "
+                            "the other commands run serially; output is "
                             "identical for any value")
-        if method_default is not None:
-            p.add_argument("--method",
-                           choices=(METHOD_RESIDUE, METHOD_COMBINATORIAL, "both"),
-                           default=method_default)
+        if methods is not None:
+            p.add_argument("--method", choices=methods, default=method_default)
 
     p_compute = sub.add_parser("compute", help="compute a coefficient table")
-    common(p_compute, method_default=METHOD_RESIDUE)
+    common(p_compute, methods=(METHOD_SWEEP, METHOD_COMBINATORIAL, "both"),
+           method_default=METHOD_SWEEP)
     p_compute.add_argument("--cache", default=None, metavar="PATH",
                            help="write the table here instead of stdout "
                                 f"(relative paths resolve under ${CACHE_DIR_ENV})")
@@ -134,7 +141,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser("bench", help="time both methods; hashes double as "
                                            "correctness checks")
-    common(p_bench, method_default="both")
+    common(p_bench, methods=(METHOD_RESIDUE, METHOD_COMBINATORIAL, "both"),
+           method_default="both")
     p_bench.add_argument("--threads-compare", type=int, default=None, metavar="N",
                          help="re-run with N workers and require identical hashes")
 
@@ -159,46 +167,61 @@ def normalize_args(args: argparse.Namespace) -> None:
 
 
 # ----------------------------------------------------------------------
-# parallel coefficient computation
+# coefficient computation
 
 
-def _compute_chunk(jobs):
-    """Worker: the record of each (d, m, method, shortcut) job, in order."""
-    return [laurent_coefficient(d, m, method=method, use_vanishing_shortcut=shortcut)
-            for d, m, method, shortcut in jobs]
-
-
-def _fill_table(table, pairs, method, threads, full_pairs=()):
+def _fill_table(table, pairs, method, full_pairs=()):
     """Compute the given (d, m) pairs that the table lacks, and every pair
-    in ``full_pairs`` with the vanishing shortcut off, in parallel if asked.
+    in ``full_pairs``, serially.
 
     A full record replaces whatever the table held at its pair, so a
-    check that reads one never sees a cached or shortcut value.  Striped
-    partitioning of the sorted jobs balances the heavier high-index work;
-    the table is the single writer-side aggregation point, so results are
-    merged here regardless of completion order.
+    check that reads one never sees a cached or shortcut value.  The
+    sweep runs once per degree, up to the largest index it has to write,
+    and writes only the wanted indices; sweep records are computed
+    without the vanishing shortcut.  The per-index methods compute each
+    wanted pair on its own, with the shortcut off at ``full_pairs``.
     """
     full = set(full_pairs)
-    jobs = sorted({(d, m, method, True) for d, m in pairs
-                   if (d, m) not in full and table.get(d, m) is None}
-                  | {(d, m, method, False) for d, m in full})
-    if threads <= 1 or len(jobs) < 4:
-        chunks = [_compute_chunk(jobs)]
-    else:
-        stripes = threads * 4
-        tasks = [jobs[s::stripes] for s in range(min(stripes, len(jobs)))]
-        try:
-            from concurrent.futures import ProcessPoolExecutor
+    wanted = {(d, m) for d, m in pairs if table.get(d, m) is None} | full
+    if method != METHOD_SWEEP:
+        for d, m in sorted(wanted):
+            table.add(laurent_coefficient(d, m, method=method,
+                                          use_vanishing_shortcut=(d, m) not in full))
+        return
+    tops = {}
+    for d, m in wanted:
+        tops[d] = max(tops.get(d, 0), m)
+    for d, top in sorted(tops.items()):
+        for m, value in enumerate(coefficients_by_sweep(d, top)):
+            if (d, m) in wanted:
+                table.add(CoeffRecord(d, m, value, METHOD_SWEEP, choose_n(d, max(m, 1))))
 
-            with ProcessPoolExecutor(max_workers=threads) as pool:
-                chunks = list(pool.map(_compute_chunk, tasks))
-        except (ImportError, OSError) as exc:  # pragma: no cover - sandboxed hosts
-            print(f"multibrot: process pool unavailable ({exc}); running serially",
-                  file=sys.stderr)
-            chunks = [_compute_chunk(t) for t in tasks]
-    for chunk in chunks:
-        for record in chunk:
-            table.add(record)
+
+def _compute_chunk(method, pairs):
+    """Bench worker: the record of each (d, m) pair, in order."""
+    return [laurent_coefficient(d, m, method=method) for d, m in pairs]
+
+
+def _fill_table_in_pool(table, pairs, method, threads):
+    """``_fill_table`` for ``bench`` on up to ``threads`` worker processes.
+
+    Striped partitioning of the sorted pairs balances the heavier
+    high-index work, and no more workers start than there are stripes;
+    the table is the single writer-side aggregation point, so results
+    are merged here regardless of completion order.
+    """
+    if threads == 1:
+        _fill_table(table, pairs, method)
+        return
+    jobs = sorted(set(pairs))
+    stripes = threads * 4
+    tasks = [jobs[s::stripes] for s in range(min(stripes, len(jobs)))]
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=min(threads, len(tasks))) as pool:
+        for chunk in pool.map(partial(_compute_chunk, method), tasks):
+            for record in chunk:
+                table.add(record)
 
 
 # ----------------------------------------------------------------------
@@ -228,17 +251,17 @@ def _records_json_lines(records) -> str:
 
 def cmd_compute(args) -> int:
     pairs = [(d, m) for d in args.d for m in range(args.m_max + 1)]
-    primary = METHOD_RESIDUE if args.method == "both" else args.method
-    table = CoeffTable(method=primary)
-    _fill_table(table, pairs, primary, args.threads)
+    primary = METHOD_SWEEP if args.method == "both" else args.method
+    table = CoeffTable()
+    _fill_table(table, pairs, primary)
     if args.method == "both":
-        other = CoeffTable(method=METHOD_COMBINATORIAL)
-        _fill_table(other, pairs, METHOD_COMBINATORIAL, args.threads)
+        other = CoeffTable()
+        _fill_table(other, pairs, METHOD_COMBINATORIAL)
         for d, m in pairs:
             a, b = table.value(d, m), other.value(d, m)
             if a != b:
                 print(f"multibrot: method disagreement at d={d}, m={m}: "
-                      f"residue={a}, combinatorial={b}", file=sys.stderr)
+                      f"{primary}={a}, combinatorial={b}", file=sys.stderr)
                 return EXIT_VERIFICATION
     records = table.records_sorted()
     if args.output == "csv":
@@ -258,7 +281,7 @@ def cmd_verify(args) -> int:
     full_pairs = []
     for name, d, m in applicable(args.d, args.m_max, args.checks):
         (full_pairs if CHECKS[name].full else pairs).append((d, m))
-    _fill_table(table, pairs, METHOD_RESIDUE, args.threads, full_pairs)
+    _fill_table(table, pairs, METHOD_SWEEP, full_pairs)
 
     verdicts = suite_verdicts(args.d, args.m_max, args.checks, table)
     _emit(format_report(verdicts), args.report)
@@ -270,9 +293,7 @@ def cmd_verify(args) -> int:
 
 def cmd_census(args) -> int:
     table = CoeffTable()
-    pairs = [(d, m) for d in args.d for m in range(args.m_max + 1)
-             if not vanishes_by_divisibility(d, m)]
-    _fill_table(table, pairs, METHOD_RESIDUE, args.threads)
+    _fill_table(table, [(d, m) for d in args.d for m in range(args.m_max + 1)], METHOD_SWEEP)
     lines = []
     summaries = []
     for d in args.d:
@@ -295,9 +316,9 @@ def cmd_census(args) -> int:
 
 def _bench_one(args, method: str, threads: int):
     pairs = [(d, m) for d in args.d for m in range(args.m_max + 1)]
-    table = CoeffTable(method=method)
+    table = CoeffTable()
     start = time.perf_counter()
-    _fill_table(table, pairs, method, threads)
+    _fill_table_in_pool(table, pairs, method, threads)
     elapsed = time.perf_counter() - start
     records = table.records_sorted()
     peak_bits = 0

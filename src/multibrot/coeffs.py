@@ -16,6 +16,10 @@ routes:
 
 Agreement of the two routes on every input is a tested invariant, as is
 independence of the choice of admissible iteration order n.
+
+Whole tables b_0..b_M come from ``coefficients_by_sweep``, one pass
+over the series of the iterates Q_k(Psi(w)); the residue route is its
+independent oracle.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from .series import iterate_parameter_polynomial, rational_power_tail
 METHOD_RESIDUE = "residue"
 METHOD_COMBINATORIAL = "combinatorial"
 METHOD_SPECIAL = "special-case"
+METHOD_SWEEP = "sweep"
 
 
 @dataclass(frozen=True)
@@ -35,7 +40,8 @@ class CoeffRecord:
     """One computed coefficient with provenance.
 
     ``n_used`` is the iteration order behind the value (0 for the
-    hardcoded m = 0 constants and shortcut zeros).
+    hardcoded m = 0 constants and shortcut zeros; for a sweep, the level
+    that fixes b_m).
     """
 
     d: int
@@ -150,6 +156,66 @@ def coefficient_by_partition_sum(d: int, m: int, n: int):
     return -total / m
 
 
+def coefficients_by_sweep(d: int, m_max: int) -> list:
+    """Exact [b_0, ..., b_m_max] in one sweep over the columns of the iterates.
+
+    With Psi(w) = w (1 + sum_j beta_{0,j} w^-j), so beta_{0,j} = b_{j-1},
+    the iterates Psi_k = Q_k(Psi) = w^(d^k) (1 + B_k(1/w)) obey
+
+        1 + B_{k+1}(x) = (1 + B_k(x))^d + x^(d^(k+1) - 1) (1 + B_0(x)),
+
+    and beta_{k,j} = 0 for 1 <= j <= d^(k+1) - 2.  Column j is swept at
+    every level k below k* = choose_n(d, j - 1) (and k* = 1 for j = 1):
+    H_{k,j} = [x^j](1 + B_k)^d comes from J.C.P. Miller's power recurrence
+
+        j H_{k,j} = sum_{i=1..j} ((d+1) i - j) beta_{k,i} H_{k,j-i},
+
+    whose i = j term is d j beta_{k,j}.  The unknown b_{j-1} therefore
+    enters beta_{k,j} as d^k b_{j-1} plus terms of earlier columns, and
+    the zero at level k* solves for it.  Column j is stored times S^j, with
+    S = 4 for d = 2 and S = d otherwise; the main bound makes every
+    stored value an integer, and a product of columns i and j - i lands
+    on scale S^j.  The only divisions are by j and by d^k*; a remainder
+    raises ``ArithmeticError``.  Columns are computed in full, without
+    the vanishing shortcut; terms are skipped only where level k is
+    zero by the recurrence above.
+    """
+    if d < 2:
+        raise ValueError("degree d must be >= 2")
+    if m_max < 0:
+        raise ValueError("m_max must be >= 0")
+    scale = 4 if d == 2 else d
+    top = m_max + 1
+    levels = choose_n(d, max(m_max, 1))
+    offsets = [d ** (k + 1) - 1 for k in range(levels)]
+    # column j - offset of 1 + B_0 enters column j of level k + 1 times S^offset
+    lifts = [scale**offset for offset in offsets]
+    beta = [[1] + [0] * top for _ in range(levels)]
+    power = [[1] + [0] * top for _ in range(levels)]
+    k_star = 1
+    for j in range(1, top + 1):
+        if j > d ** (k_star + 1) - 2:
+            k_star += 1
+        # beta_{k,j} - d^k b_{j-1} and H_{k,j} - d beta_{k,j}, per level
+        provisional, rests, p = [], [], 0
+        for k in range(k_star):
+            lo, row_b, row_h = offsets[k], beta[k], power[k]
+            r, rem = divmod(sum(((d + 1) * i - j) * row_b[i] * row_h[j - i]
+                                for i in range(lo, j - lo + 1)), j)
+            if rem:
+                raise ArithmeticError(f"column {j}, level {k}: inexact division by {j}")
+            provisional.append(p)
+            rests.append(r)
+            p = d * p + r + (beta[0][j - lo] * lifts[k] if j >= lo else 0)
+        u, rem = divmod(-p, d**k_star)
+        if rem:
+            raise ArithmeticError(f"column {j}: inexact division by {d}^{k_star}")
+        for k in range(k_star):
+            beta[k][j] = d**k * u + provisional[k]
+            power[k][j] = d * beta[k][j] + rests[k]
+    return [rational(beta[0][j], scale**j) for j in range(1, top + 1)]
+
+
 def laurent_coefficient(
     d: int,
     m: int,
@@ -190,11 +256,11 @@ class CoeffTable:
     """Memoizing coefficient store keyed by (d, m).
 
     Reads are pure lookups and safe to share; population must stay with
-    a single writer (the computing loop or an explicit ``add``).
+    a single writer (the computing loop or an explicit ``add``).  A
+    missing record is computed on demand by the residue route.
     """
 
-    def __init__(self, method: str = METHOD_RESIDUE):
-        self.method = method
+    def __init__(self):
         self._records: dict[tuple[int, int], CoeffRecord] = {}
 
     def __len__(self):
@@ -213,7 +279,7 @@ class CoeffTable:
         key = (d, m)
         rec = self._records.get(key)
         if rec is None:
-            rec = laurent_coefficient(d, m, method=self.method)
+            rec = laurent_coefficient(d, m)
             self._records[key] = rec
         return rec
 

@@ -2,9 +2,9 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines.  The sweeps over the degree-2 coefficients default to m <= 200 (the
-fast subset); set MULTIBROT_ACCEPTANCE_M_MAX=1000 to cover the full range
-Zagier's observation was originally checked on, or run the slow-marked
-full-range test directly with ``pytest -m slow``.
+fast subset); set MULTIBROT_ACCEPTANCE_M_MAX=1000 to run every criterion
+over the full range Zagier's observation was originally checked on.  The
+full-range test checks criteria 3-5 and 9 to m = 1000 on every run.
 
 Criterion 7 is expected to FAIL, deliberately: it asserts that the
 floor-form prime-degree bound floor(nu_p((pm+p)!)/(p-1)) coincides with the
@@ -38,7 +38,7 @@ from multibrot.checks import (
     suite_verdicts,
 )
 from multibrot.coeffs import (
-    METHOD_RESIDUE,
+    METHOD_SWEEP,
     CoeffTable,
     choose_n,
     coefficient_by_partition_sum,
@@ -57,7 +57,6 @@ from multibrot.exact import (
 M_SUBSET = 200
 M_MAX = max(int(os.environ.get("MULTIBROT_ACCEPTANCE_M_MAX", M_SUBSET)), M_SUBSET)
 MAIN_DEGREES = (2, 3, 4, 6, 9, 12)
-WORKERS = os.cpu_count() or 1
 
 
 def _criterion(num, name, ok, detail=""):
@@ -71,7 +70,7 @@ def _criterion(num, name, ok, detail=""):
 @pytest.fixture(scope="module")
 def table():
     t = CoeffTable()
-    cli._fill_table(t, [(2, m) for m in range(M_MAX + 1)], METHOD_RESIDUE, WORKERS)
+    cli._fill_table(t, [(2, m) for m in range(M_MAX + 1)], METHOD_SWEEP)
     return t
 
 
@@ -82,7 +81,7 @@ def _ensure_main_degree_pairs(t):
         for m in range(M_SUBSET + 1)
         if (m + 1) % (d - 1) == 0
     ]
-    cli._fill_table(t, pairs, METHOD_RESIDUE, WORKERS)
+    cli._fill_table(t, pairs, METHOD_SWEEP)
 
 
 def test_criterion_01_known_constants():
@@ -298,12 +297,11 @@ def test_criterion_12_determinism(tmp_path):
                       compute_ok and verify_ok)
 
 
-@pytest.mark.slow
 def test_full_range_sweep_m1000():
     """Criteria 3-5 and 9 over the full stated range m <= 1000."""
     start = time.perf_counter()
     t = CoeffTable()
-    cli._fill_table(t, [(2, m) for m in range(1001)], METHOD_RESIDUE, WORKERS)
+    cli._fill_table(t, [(2, m) for m in range(1001)], METHOD_SWEEP)
     bad = []
     for m in range(1001):
         if not check_zagier(m, t).passed:
@@ -314,6 +312,6 @@ def test_full_range_sweep_m1000():
             bad.append(("levin", m))
         if not check_integrality(2, m, t).passed:
             bad.append(("integrality", m))
-    detail = f"m<=1000, {time.perf_counter() - start:.0f}s with {WORKERS} workers"
+    detail = f"m<=1000, {time.perf_counter() - start:.0f}s"
     assert _criterion(3, "full-range Zagier/Ewing-Schober/Levin/integrality",
                       not bad, detail), bad[:10]

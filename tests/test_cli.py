@@ -25,6 +25,22 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+@pytest.fixture
+def pools(monkeypatch):
+    """Every ProcessPoolExecutor constructed while the test runs."""
+    import concurrent.futures
+
+    made = []
+
+    class CountingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            made.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+    return made
+
+
 class TestCompute:
     def test_basic_table(self, capsys):
         code, out, _ = run(capsys, "compute", "--d", "2", "--m-max", "5", "--threads", "1")
@@ -198,8 +214,8 @@ class TestVerify:
         )
 
     def test_checks_compute_no_coefficient_lazily(self, capsys, monkeypatch):
-        # Every coefficient a check reads must come from the tables that
-        # cmd_verify fills up front, serially or in the pool.
+        # Every coefficient a check reads must come from the table that
+        # cmd_verify fills up front.
         import multibrot.checks as checks_mod
         import multibrot.cli as cli_mod
         import multibrot.coeffs as coeffs_mod
@@ -243,20 +259,16 @@ class TestVerify:
         assert code == EXIT_OK
         assert "vanishing,3,2,-,neg_inf,neg_inf,true,true,true" in out.splitlines()
 
-    def test_one_process_pool(self, capsys, monkeypatch):
-        import concurrent.futures
-
-        pools = []
-
-        class CountingPool(concurrent.futures.ProcessPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                pools.append(self)
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
-        code, _, _ = run(capsys, "verify", "--d", "3", "--m-max", "30", "--threads", "2")
+    def test_cached_values_below_computed_indices_are_kept(self, capsys, tmp_path):
+        # a checksummed but wrong b_1 = 1/2 for d = 2: computing m = 2..5
+        # must not replace it, so zagier reads it and fails at m = 1
+        path = tmp_path / "table.csv"
+        cache.store_coefficients(path, [(2, 0, rational(-1, 2)), (2, 1, rational(1, 2))])
+        code, out, _ = run(capsys, "verify", "--d", "2", "--m-max", "5", "--threads", "1",
+                           "--checks", "zagier", "--cache", str(path))
         assert code == EXIT_VERIFICATION
-        assert len(pools) == 1
+        failing = [line for line in out.splitlines() if line.endswith(",false")]
+        assert failing == ["zagier,2,1,2,3,1,true,false,false"]
 
     def test_unwritable_report_is_io_error(self, capsys, tmp_path):
         code, _, _ = run(capsys, "verify", "--d", "2", "--m-max", "3", "--threads", "1",
@@ -319,6 +331,26 @@ class TestBench:
         rows = [line.split(",") for line in out.splitlines()[1:]]
         assert len({row[4] for row in rows}) == 1
 
+    def test_one_process_pool(self, capsys, pools):
+        code, _, _ = run(capsys, "bench", "--d", "3", "--m-max", "30",
+                         "--method", "residue", "--threads", "2")
+        assert code == EXIT_OK
+        assert len(pools) == 1
+
+    def test_no_more_workers_than_tasks(self, capsys, pools):
+        code, _, _ = run(capsys, "bench", "--d", "2", "--m-max", "4", "--threads", "8")
+        assert code == EXIT_OK
+        assert len(pools) == 2  # one per method
+        assert all(pool._max_workers <= 5 for pool in pools)
+
+
+@pytest.mark.parametrize("command", ["compute", "verify", "census"])
+def test_only_bench_starts_processes(capsys, pools, command):
+    code, out, _ = run(capsys, command, "--d", "2,3", "--m-max", "30", "--threads", "4")
+    assert code in (EXIT_OK, EXIT_VERIFICATION)
+    assert out
+    assert pools == []
+
 
 class TestDeterminism:
     def test_compute_identical_across_worker_counts(self, capsys):
@@ -348,9 +380,10 @@ def test_broken_process_pool_exits_3(capsys, monkeypatch):
         return real(d, m, **kwargs)
 
     monkeypatch.setattr(cli_mod, "laurent_coefficient", dying)
-    code, out, err = run(capsys, "compute", "--d", "2", "--m-max", "12", "--threads", "2")
+    code, out, err = run(capsys, "bench", "--d", "2", "--m-max", "12",
+                         "--method", "residue", "--threads", "2")
     assert code == EXIT_IO
-    assert out == ""
+    assert out == "method,threads,seconds,peak_coeff_bits,sha256\n"
     assert "worker pool broke" in err and "Traceback" not in err
 
 

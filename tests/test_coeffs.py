@@ -11,6 +11,7 @@ from multibrot.coeffs import (
     choose_n,
     coefficient_by_partition_sum,
     coefficient_by_residue,
+    coefficients_by_sweep,
     laurent_coefficient,
     partition_index_tuples,
     vanishes_by_divisibility,
@@ -127,6 +128,27 @@ class TestPartitionSumRoute:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             coefficient_by_partition_sum(2, 4, 1)
+
+
+class TestSweep:
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    def test_equals_residue_route(self, d):
+        values = coefficients_by_sweep(d, 200)
+        assert len(values) == 201
+        assert values[0] == laurent_coefficient(d, 0).value  # the m = 0 constants
+        for m in range(1, 201):
+            assert values[m] == coefficient_by_residue(d, m), (d, m)
+
+    def test_equals_residue_route_near_m_1000(self):
+        values = coefficients_by_sweep(2, 1000)
+        for m in range(997, 1001):
+            assert values[m] == coefficient_by_residue(2, m), m
+
+    def test_rejects_bad_arguments(self):
+        with pytest.raises(ValueError):
+            coefficients_by_sweep(1, 5)
+        with pytest.raises(ValueError):
+            coefficients_by_sweep(2, -1)
 
 
 class TestMethodAgreement:
