@@ -23,6 +23,7 @@ import json
 import os
 import sys
 import time
+from collections import Counter
 from functools import partial
 from pathlib import Path
 
@@ -288,7 +289,18 @@ def cmd_verify(args) -> int:
     failures = [v for v in verdicts if not v.passed]
     print(f"multibrot verify: {len(verdicts)} verdicts, {len(failures)} failures",
           file=sys.stderr)
+    for line in _failure_summary(failures):
+        print(f"multibrot verify: {line}", file=sys.stderr)
     return EXIT_VERIFICATION if failures else EXIT_OK
+
+
+def _failure_summary(failures) -> list[str]:
+    """Failure counts per (check, p) in the order of their first failure,
+    then the first five failing verdicts; p is a prime or None ("-")."""
+    counts = Counter((v.check, v.p) for v in failures)
+    lines = [f"{check} p={p or '-'}: {n} failures" for (check, p), n in counts.items()]
+    lines += [f"failed {v.check} d={v.d} m={v.m} p={v.p or '-'}" for v in failures[:5]]
+    return lines
 
 
 def cmd_census(args) -> int:

@@ -12,7 +12,8 @@ routes:
   quadrature.
 * ``coefficient_by_partition_sum``: a finite sum of products of
   generalized binomial coefficients over weighted partitions of m + 1,
-  obtained by unrolling the iteration one composition step at a time.
+  obtained by unrolling the iteration one composition step at a time;
+  the products are summed as ints over one common denominator.
 
 Agreement of the two routes on every input is a tested invariant, as is
 independence of the choice of admissible iteration order n.
@@ -24,9 +25,10 @@ independent oracle.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from .exact import ONE, ZERO, binomial_general, rational
+from .exact import ZERO, rational
 from .series import iterate_parameter_polynomial, rational_power_tail
 
 METHOD_RESIDUE = "residue"
@@ -138,22 +140,38 @@ def coefficient_by_partition_sum(d: int, m: int, n: int):
     """Exact b_m as -1/m times a sum over weighted index tuples.
 
     Each tuple (j_1..j_n) contributes a product of generalized binomial
-    coefficients whose arguments start at m/d^n and are shifted by the
-    prefix of indices already consumed.
+    coefficients binom(m/D_k - s_k, j_k), with D_k = d^(n-k+1) and s_k
+    the shift left by the prefix of indices already consumed, that is
+
+        prod_k prod_{i<j_k} (m - s_k D_k - i D_k) / prod_k j_k! D_k^j_k.
+
+    Every such denominator divides C = T! d^T with T = (m+1)//(d-1):
+    sum_k j_k <= T, and sum_k (n-k+1) j_k <= sum_k (D_k-1) j_k / (d-1)
+    = (m+1)/(d-1).  The sum therefore runs on ints scaled by C and
+    builds one rational at the end; a tuple whose denominator does not
+    divide C raises ``ArithmeticError``.
     """
     _check_order(d, m, n)
-    total = ZERO
+    top = (m + 1) // (d - 1)
+    common = math.factorial(top) * d**top
+    steps = [d ** (n - k) for k in range(n)]
+    total = 0
     for tup in partition_index_tuples(d, n, m + 1):
-        product = ONE
-        shift = 0
-        for k, j in enumerate(tup, start=1):
-            arg = rational(m, d ** (n - k + 1)) - shift
-            product *= binomial_general(arg, j)
-            if product == 0:
+        num, den, shift = 1, 1, 0
+        for step, j in zip(steps, tup):
+            start = m - shift * step
+            for i in range(j):
+                num *= start - i * step
+            if num == 0:
                 break
+            den *= math.factorial(j) * step**j
             shift = d * (shift + j)
-        total += product
-    return -total / m
+        else:
+            q, rem = divmod(common, den)
+            if rem:
+                raise ArithmeticError(f"tuple {tup}: denominator {den} does not divide {common}")
+            total += num * q
+    return rational(-total, common * m)
 
 
 def coefficients_by_sweep(d: int, m_max: int) -> list:
@@ -188,8 +206,9 @@ def coefficients_by_sweep(d: int, m_max: int) -> list:
     top = m_max + 1
     levels = choose_n(d, max(m_max, 1))
     offsets = [d ** (k + 1) - 1 for k in range(levels)]
-    # column j - offset of 1 + B_0 enters column j of level k + 1 times S^offset
-    lifts = [scale**offset for offset in offsets]
+    # column j - offset of 1 + B_0 enters column j of level k + 1 times S^offset;
+    # an offset past the last column is never read, and S^offset can be huge
+    lifts = [scale**offset if offset <= top else None for offset in offsets]
     beta = [[1] + [0] * top for _ in range(levels)]
     power = [[1] + [0] * top for _ in range(levels)]
     k_star = 1

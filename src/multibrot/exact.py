@@ -3,9 +3,15 @@
 Every quantity in this package is an exact rational, a
 ``fractions.Fraction`` (``rational`` here), which keeps values in lowest
 terms with a positive denominator; ints stand for themselves wherever a
-rational is expected.  The hot kernels (the series recurrence,
-``binomial_general``) run on Python ints and build one rational per
-result.
+rational is expected.  The hot kernels (the series recurrence, the
+column sweep and the partition sum) run on Python ints and build one
+rational per result.
+
+``binomial_general`` is no longer on any kernel's path: the partition
+sum forms its binomial products on ints over a common denominator.  It
+stays because it is public API, because the series and partition-sum
+tests use it as an oracle, and because ``perfbench/trace.py`` looks it
+up by name without a default, so removing it would break traced runs.
 
 Valuations take values in the integers extended by infinity:
 ``padic_valuation(0, p)`` is ``POS_INF``, and the negated valuation of a

@@ -18,9 +18,11 @@ companion test below pins the corrected relationship.  The criterion is kept
 red rather than rewritten so the refutation stays visible.
 """
 
+import hashlib
 import os
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -315,3 +317,23 @@ def test_full_range_sweep_m1000():
     detail = f"m<=1000, {time.perf_counter() - start:.0f}s"
     assert _criterion(3, "full-range Zagier/Ewing-Schober/Levin/integrality",
                       not bad, detail), bad[:10]
+
+
+@pytest.mark.slow
+def test_all_checks_to_m2000(capsys):
+    """Every check for d = 2..7 over m <= 2000, about 75 s on one core.
+
+    Only the refuted Yamashita floor form fails (see criterion 07); the
+    report's bytes are pinned so any other change in a verdict shows.
+    """
+    code = cli.main(["verify", "--d", "2,3,4,5,6,7", "--m-max", "2000", "--threads", "1"])
+    out = capsys.readouterr().out
+    assert code == cli.EXIT_VERIFICATION
+    failures = Counter((fields[0], fields[3]) for fields in
+                       (line.split(",") for line in out.splitlines()[1:-1])
+                       if fields[-1] == "false")
+    assert failures == {("yamashita", "3"): 727, ("yamashita", "5"): 369,
+                        ("yamashita", "7"): 221}
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "9efcf40d76b5c0320037a854168f3e2219ffbf00e7ab31fc4aeb4430b12ddc51"
+    )

@@ -106,6 +106,16 @@ class TestCompute:
             "7d5392641310bc839a0a1a6b5c64b4cfa4a22ae9df7f8b05cd1fd81a131238bd"
         )
 
+    def test_table_digest_for_degree_two_to_m1000(self, capsys):
+        # Byte-exact table for d = 2, m <= 1000; the residue route and the
+        # sweep were both measured to produce it.
+        code, out, _ = run(capsys, "compute", "--d", "2", "--m-max", "1000",
+                           "--threads", "1")
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "7e260d940c8a0e2a13ee80fde729e2229f10b1b2c31b1ba59564403f169c3293"
+        )
+
     def test_both_methods_agree(self, capsys):
         code, out, _ = run(capsys, "compute", "--d", "2,4", "--m-max", "10",
                            "--threads", "1", "--method", "both")
@@ -270,6 +280,34 @@ class TestVerify:
         failing = [line for line in out.splitlines() if line.endswith(",false")]
         assert failing == ["zagier,2,1,2,3,1,true,false,false"]
 
+    def test_failure_summary_on_stderr(self, capsys, tmp_path):
+        code, out, err = run(capsys, "verify", "--d", "2", "--m-max", "20", "--threads", "1")
+        assert code == EXIT_OK
+        assert err == "multibrot verify: 136 verdicts, 0 failures\n"
+        # checksummed but wrong b_1 = b_3 = 2^-40 for d = 2 fail six checks twice
+        path = tmp_path / "table.csv"
+        cache.store_coefficients(path, [(2, 0, rational(-1, 2)), (2, 1, rational(1, 2**40)),
+                                        (2, 3, rational(1, 2**40))])
+        code, out, err = run(capsys, "verify", "--d", "2", "--m-max", "20", "--threads", "1",
+                             "--cache", str(path))
+        assert code == EXIT_VERIFICATION
+        assert err.splitlines() == [
+            "multibrot verify: 136 verdicts, 12 failures",
+            "multibrot verify: ewing-schober p=2: 2 failures",
+            "multibrot verify: integrality p=-: 2 failures",
+            "multibrot verify: levin p=2: 2 failures",
+            "multibrot verify: main p=2: 2 failures",
+            "multibrot verify: yamashita p=2: 2 failures",
+            "multibrot verify: zagier p=2: 2 failures",
+            "multibrot verify: failed ewing-schober d=2 m=1 p=2",
+            "multibrot verify: failed ewing-schober d=2 m=3 p=2",
+            "multibrot verify: failed integrality d=2 m=1 p=-",
+            "multibrot verify: failed integrality d=2 m=3 p=-",
+            "multibrot verify: failed levin d=2 m=1 p=2",
+        ]
+        failing = [line for line in out.splitlines() if line.endswith(",false")]
+        assert len(failing) == 12 and failing[0].startswith("ewing-schober,2,1,")
+
     def test_unwritable_report_is_io_error(self, capsys, tmp_path):
         code, _, _ = run(capsys, "verify", "--d", "2", "--m-max", "3", "--threads", "1",
                          "--checks", "zagier",
@@ -350,6 +388,14 @@ def test_only_bench_starts_processes(capsys, pools, command):
     assert code in (EXIT_OK, EXIT_VERIFICATION)
     assert out
     assert pools == []
+
+
+@pytest.mark.parametrize("command", ["compute", "verify", "census"])
+def test_huge_degree(capsys, command):
+    # every b_m with m <= 3 vanishes at d = 10^11; no power of size ~d is formed
+    code, out, _ = run(capsys, command, "--d", str(10**11), "--m-max", "3", "--threads", "1")
+    assert code == EXIT_OK
+    assert out
 
 
 class TestDeterminism:

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from multibrot import coeffs, exact
 from multibrot.coeffs import (
     METHOD_COMBINATORIAL,
     METHOD_RESIDUE,
@@ -17,7 +18,7 @@ from multibrot.coeffs import (
     vanishes_by_divisibility,
     zero_census,
 )
-from multibrot.exact import factorize, padic_valuation, rational
+from multibrot.exact import binomial_general, factorize, padic_valuation, rational
 
 # Exact values cross-checked between the residue and partition-sum routes
 # (and, for odd m, against the known denominator exponent nu_2((2m+2)!)).
@@ -117,7 +118,47 @@ class TestPartitionIndexTuples:
             assert all(j >= 0 for j in tup)
 
 
+def fraction_partition_sum(d, m, n):
+    """The partition sum as per-tuple products of ``binomial_general``
+    on rationals: an independent reference for the int kernel."""
+    total = 0
+    for tup in partition_index_tuples(d, n, m + 1):
+        product = 1
+        shift = 0
+        for k, j in enumerate(tup, start=1):
+            product *= binomial_general(rational(m, d ** (n - k + 1)) - shift, j)
+            if product == 0:
+                break
+            shift = d * (shift + j)
+        total += product
+    return -total / m
+
+
 class TestPartitionSumRoute:
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    def test_equals_fraction_reference(self, d):
+        for m in range(1, 121):
+            n = choose_n(d, m)
+            for order in (n, n + 1):
+                assert coefficient_by_partition_sum(d, m, order) == \
+                    fraction_partition_sum(d, m, order), (d, m, order)
+
+    def test_builds_one_rational_per_index(self, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return rational(*args)
+
+        # exact.rational too, so that a call to binomial_general would count
+        monkeypatch.setattr(coeffs, "rational", counting)
+        monkeypatch.setattr(exact, "rational", counting)
+        for d in (2, 3, 5):
+            for m in range(1, 41):
+                before = len(calls)
+                coefficient_by_partition_sum(d, m, choose_n(d, m) + 1)
+                assert len(calls) - before == 1, (d, m)
+
     def test_single_tuple_cases(self):
         assert coefficient_by_partition_sum(2, 1, 1) == rational(1, 8)
         assert coefficient_by_partition_sum(4, 2, 1) == rational(-1, 4)
@@ -143,6 +184,10 @@ class TestSweep:
         values = coefficients_by_sweep(2, 1000)
         for m in range(997, 1001):
             assert values[m] == coefficient_by_residue(2, m), m
+
+    def test_huge_degree(self):
+        # the lift S^(d-1) of level 0 is never read below m = d - 2
+        assert coefficients_by_sweep(10**11, 3) == [0, 0, 0, 0]
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
