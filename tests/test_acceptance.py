@@ -41,6 +41,7 @@ from multibrot.checks import (
 )
 from multibrot.coeffs import (
     METHOD_SWEEP,
+    CoeffRecord,
     CoeffTable,
     choose_n,
     coefficient_by_partition_sum,
@@ -299,11 +300,13 @@ def test_criterion_12_determinism(tmp_path):
                       compute_ok and verify_ok)
 
 
-def test_full_range_sweep_m1000():
-    """Criteria 3-5 and 9 over the full stated range m <= 1000."""
+def test_full_range_sweep_m1000(degree_two_table_m1000):
+    """Criteria 3-5 and 9 over the full stated range m <= 1000, on the
+    table ``compute --d 2 --m-max 1000`` prints."""
     start = time.perf_counter()
     t = CoeffTable()
-    cli._fill_table(t, [(2, m) for m in range(1001)], METHOD_SWEEP)
+    for d, m, value in degree_two_table_m1000[1]:
+        t.add(CoeffRecord(d, m, value, "cached", -1))
     bad = []
     for m in range(1001):
         if not check_zagier(m, t).passed:

@@ -106,12 +106,10 @@ class TestCompute:
             "7d5392641310bc839a0a1a6b5c64b4cfa4a22ae9df7f8b05cd1fd81a131238bd"
         )
 
-    def test_table_digest_for_degree_two_to_m1000(self, capsys):
+    def test_table_digest_for_degree_two_to_m1000(self, degree_two_table_m1000):
         # Byte-exact table for d = 2, m <= 1000; the residue route and the
         # sweep were both measured to produce it.
-        code, out, _ = run(capsys, "compute", "--d", "2", "--m-max", "1000",
-                           "--threads", "1")
-        assert code == EXIT_OK
+        out, _ = degree_two_table_m1000
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "7e260d940c8a0e2a13ee80fde729e2229f10b1b2c31b1ba59564403f169c3293"
         )
