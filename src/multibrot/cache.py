@@ -12,7 +12,8 @@ lowest terms, lines are sorted by (d, m), and the trailing checksum is
 the SHA-256 of the payload lines (each with its newline).  Loading
 rejects any line whose denominator has a prime factor not dividing d:
 every genuine coefficient is a d-adic rational, so such a line can only
-be corruption.
+be corruption.  Degrees above ``exact.MAX_DEGREE`` are rejected too,
+because factoring them for that test could take minutes.
 
 Numerators and denominators grow past Python's int<->str digit cap
 (4300 digits by default) for large m, so the cap is lifted around the
@@ -26,7 +27,7 @@ import sys
 from contextlib import contextmanager
 from math import gcd
 
-from .exact import is_d_adic, rational
+from .exact import MAX_DEGREE, is_d_adic, rational
 
 HEADER = "#multibrot-coeffs v1"
 _CHECKSUM_PREFIX = "#sha256:"
@@ -135,7 +136,7 @@ def parse_table(text: str) -> list[tuple[int, int, object]]:
             d, m, num, den = (int(f) for f in fields)
         except ValueError:
             raise CacheFormatError(f"line {offset}: non-integer field") from None
-        if d < 2 or m < 0:
+        if not 2 <= d <= MAX_DEGREE or m < 0:
             raise CacheFormatError(f"line {offset}: invalid indices d={d}, m={m}")
         if den <= 0:
             raise CacheFormatError(f"line {offset}: denominator must be positive")

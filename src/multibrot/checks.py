@@ -28,8 +28,9 @@ All comparisons are exact; a zero coefficient attains -inf, which
 satisfies every bound and never counts as equality against a finite one.
 
 ``CHECKS`` is the one place that declares at which (d, m) each check
-applies and whether it reads fully computed coefficients; the suite and
-the command line both read it through ``applicable``.
+applies and whether it reads fully computed coefficients;
+``suite_verdicts`` reads it through ``applicable`` and fills its table
+from it before any check runs.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from .coeffs import (
     METHOD_RESIDUE,
     METHOD_SWEEP,
     CoeffTable,
-    laurent_coefficient,
+    coefficient_by_residue,
     vanishes_by_divisibility,
 )
 
@@ -162,18 +163,13 @@ def check_yamashita(p: int, m: int, table: CoeffTable | None = None) -> Verdict:
     return verdict
 
 
-def check_vanishing(
-    d: int,
-    m: int,
-    full_table: CoeffTable | None = None,
-    method: str = "residue",
-) -> Verdict:
+def check_vanishing(d: int, m: int, full_table: CoeffTable | None = None) -> Verdict:
     """Full computation (shortcut disabled) must return exactly zero.
 
     ``full_table`` may hold precomputed records, but only ones that came
     from an actual series/sum evaluation or a sweep are trusted; shortcut
-    and cached records are ignored and recomputed, otherwise the check
-    would be vacuous.
+    and cached records are ignored and recomputed by the residue route,
+    otherwise the check would be vacuous.
     """
     if d < 3:
         raise ValueError("check_vanishing applies to d >= 3")
@@ -181,16 +177,14 @@ def check_vanishing(
         raise ValueError("check_vanishing applies to m >= 1")
     if not vanishes_by_divisibility(d, m):
         raise ValueError("(d-1) | (m+1): this index is covered by check_main")
-    record = None
-    if full_table is not None:
-        candidate = full_table.get(d, m)
-        if candidate is not None and candidate.method in (
-                METHOD_RESIDUE, METHOD_COMBINATORIAL, METHOD_SWEEP):
-            record = candidate
-    if record is None:
-        record = laurent_coefficient(d, m, method=method, use_vanishing_shortcut=False)
+    record = full_table.get(d, m) if full_table is not None else None
+    if record is not None and record.method in (
+            METHOD_RESIDUE, METHOD_COMBINATORIAL, METHOD_SWEEP):
+        value = record.value
+    else:
+        value = coefficient_by_residue(d, m)
     p_smallest = factorize(d)[0][0]
-    attained = denominator_exponent(record.value, p_smallest)
+    attained = denominator_exponent(value, p_smallest)
     return _bound_verdict("vanishing", d, m, None, NEG_INF, attained, equality_predicted=True)
 
 
@@ -226,7 +220,7 @@ class Check:
     """Where a check applies, and its verdicts at one (d, m).
 
     ``full`` checks need their coefficients computed without the
-    vanishing shortcut, so the command line computes those pairs in full.
+    vanishing shortcut, so ``suite_verdicts`` computes those pairs in full.
     """
 
     applies: Callable[[int, int], bool]
@@ -275,10 +269,17 @@ def suite_verdicts(
     table: CoeffTable | None = None,
 ) -> list[Verdict]:
     """Every applicable verdict for the requested checks, sorted by
-    (check, d, m, p) so that two runs diff cleanly."""
+    (check, d, m, p) so that two runs diff cleanly.
+
+    The table is filled first, by ``CoeffTable.fill``: the pairs of
+    ``full`` checks are computed anew, the others only where missing.
+    """
     table = _table(table)
+    todo = list(applicable(degrees, m_max, checks))
+    table.fill([(d, m) for name, d, m in todo if not CHECKS[name].full],
+               full=[(d, m) for name, d, m in todo if CHECKS[name].full])
     verdicts: list[Verdict] = []
-    for name, d, m in applicable(degrees, m_max, checks):
+    for name, d, m in todo:
         verdicts.extend(CHECKS[name].verdicts(d, m, table))
     verdicts.sort(key=_sort_key)
     return verdicts

@@ -6,13 +6,16 @@ whether the divisibility criterion explains them), and ``bench``
 (timings plus cross-method/cross-thread-count correctness hashes).
 
 ``compute``, ``verify`` and ``census`` fill their tables serially, with
-one column sweep per degree.  Only ``bench`` starts worker processes:
+one column sweep per degree (``CoeffTable.fill``, run by ``compute``
+itself and by the library's ``suite_verdicts`` and ``zero_census``).
+Only ``bench`` starts worker processes:
 it times the per-index residue and partition-sum routes on ``--threads``
 workers, partitioned by index and merged in sorted order, so every
 worker count gives byte-identical tables.
 
 Exit codes: 0 success, 1 verification failure or method disagreement,
-2 usage error, 3 I/O error or (``bench`` only) a broken worker pool.
+2 usage error, 3 I/O error, malformed table or (``bench`` only) a broken
+worker pool.
 """
 
 from __future__ import annotations
@@ -28,18 +31,17 @@ from functools import partial
 from pathlib import Path
 
 from . import cache
-from .checks import CHECK_NAMES, CHECKS, applicable, format_report, suite_verdicts
+from .checks import CHECK_NAMES, format_report, suite_verdicts
 from .coeffs import (
     METHOD_COMBINATORIAL,
     METHOD_RESIDUE,
     METHOD_SWEEP,
     CoeffRecord,
     CoeffTable,
-    choose_n,
-    coefficients_by_sweep,
     laurent_coefficient,
     zero_census,
 )
+from .exact import MAX_DEGREE
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -66,6 +68,8 @@ def _parse_degrees(raw: list[str]) -> list[int]:
                 raise UsageError(f"invalid degree {item!r}") from None
             if d < 2:
                 raise UsageError(f"degree must be >= 2, got {d}")
+            if d > MAX_DEGREE:
+                raise UsageError(f"degree must be <= {MAX_DEGREE}, got {d}")
             degrees.append(d)
     if not degrees:
         raise UsageError("at least one degree is required")
@@ -81,6 +85,8 @@ def _parse_checks(raw: list[str] | None) -> list[str]:
             item = item.strip()
             if item:
                 names.append(item)
+    if not names:
+        raise UsageError("at least one check is required")
     unknown = [n for n in names if n not in CHECK_NAMES]
     if unknown:
         raise UsageError(
@@ -171,40 +177,14 @@ def normalize_args(args: argparse.Namespace) -> None:
 # coefficient computation
 
 
-def _fill_table(table, pairs, method, full_pairs=()):
-    """Compute the given (d, m) pairs that the table lacks, and every pair
-    in ``full_pairs``, serially.
-
-    A full record replaces whatever the table held at its pair, so a
-    check that reads one never sees a cached or shortcut value.  The
-    sweep runs once per degree, up to the largest index it has to write,
-    and writes only the wanted indices; sweep records are computed
-    without the vanishing shortcut.  The per-index methods compute each
-    wanted pair on its own, with the shortcut off at ``full_pairs``.
-    """
-    full = set(full_pairs)
-    wanted = {(d, m) for d, m in pairs if table.get(d, m) is None} | full
-    if method != METHOD_SWEEP:
-        for d, m in sorted(wanted):
-            table.add(laurent_coefficient(d, m, method=method,
-                                          use_vanishing_shortcut=(d, m) not in full))
-        return
-    tops = {}
-    for d, m in wanted:
-        tops[d] = max(tops.get(d, 0), m)
-    for d, top in sorted(tops.items()):
-        for m, value in enumerate(coefficients_by_sweep(d, top)):
-            if (d, m) in wanted:
-                table.add(CoeffRecord(d, m, value, METHOD_SWEEP, choose_n(d, max(m, 1))))
-
-
 def _compute_chunk(method, pairs):
-    """Bench worker: the record of each (d, m) pair, in order."""
+    """The record of each (d, m) pair by a per-index method, in order."""
     return [laurent_coefficient(d, m, method=method) for d, m in pairs]
 
 
-def _fill_table_in_pool(table, pairs, method, threads):
-    """``_fill_table`` for ``bench`` on up to ``threads`` worker processes.
+def _fill_per_index(table, pairs, method, threads=1):
+    """Add the record of each (d, m) pair by the per-index ``method``:
+    serially, or for ``bench`` on up to ``threads`` worker processes.
 
     Striped partitioning of the sorted pairs balances the heavier
     high-index work, and no more workers start than there are stripes;
@@ -212,7 +192,8 @@ def _fill_table_in_pool(table, pairs, method, threads):
     are merged here regardless of completion order.
     """
     if threads == 1:
-        _fill_table(table, pairs, method)
+        for record in _compute_chunk(method, pairs):
+            table.add(record)
         return
     jobs = sorted(set(pairs))
     stripes = threads * 4
@@ -252,17 +233,17 @@ def _records_json_lines(records) -> str:
 
 def cmd_compute(args) -> int:
     pairs = [(d, m) for d in args.d for m in range(args.m_max + 1)]
-    primary = METHOD_SWEEP if args.method == "both" else args.method
     table = CoeffTable()
-    _fill_table(table, pairs, primary)
+    if args.method == METHOD_COMBINATORIAL:
+        _fill_per_index(table, pairs, METHOD_COMBINATORIAL)
+    else:
+        table.fill(pairs)
     if args.method == "both":
-        other = CoeffTable()
-        _fill_table(other, pairs, METHOD_COMBINATORIAL)
-        for d, m in pairs:
-            a, b = table.value(d, m), other.value(d, m)
+        for record in _compute_chunk(METHOD_COMBINATORIAL, pairs):
+            a, b = table.value(record.d, record.m), record.value
             if a != b:
-                print(f"multibrot: method disagreement at d={d}, m={m}: "
-                      f"{primary}={a}, combinatorial={b}", file=sys.stderr)
+                print(f"multibrot: method disagreement at d={record.d}, m={record.m}: "
+                      f"{METHOD_SWEEP}={a}, combinatorial={b}", file=sys.stderr)
                 return EXIT_VERIFICATION
     records = table.records_sorted()
     if args.output == "csv":
@@ -277,13 +258,7 @@ def cmd_verify(args) -> int:
     table = CoeffTable()
     if args.cache is not None:
         for d, m, value in cache.load_coefficients(args.cache):
-            table.add(CoeffRecord(d, m, value, "cached", -1))
-    pairs = []
-    full_pairs = []
-    for name, d, m in applicable(args.d, args.m_max, args.checks):
-        (full_pairs if CHECKS[name].full else pairs).append((d, m))
-    _fill_table(table, pairs, METHOD_SWEEP, full_pairs)
-
+            table.add(CoeffRecord(d, m, value, "cached"))
     verdicts = suite_verdicts(args.d, args.m_max, args.checks, table)
     _emit(format_report(verdicts), args.report)
     failures = [v for v in verdicts if not v.passed]
@@ -304,12 +279,10 @@ def _failure_summary(failures) -> list[str]:
 
 
 def cmd_census(args) -> int:
-    table = CoeffTable()
-    _fill_table(table, [(d, m) for d in args.d for m in range(args.m_max + 1)], METHOD_SWEEP)
     lines = []
     summaries = []
     for d in args.d:
-        zeros = zero_census(d, args.m_max, table)
+        zeros = zero_census(d, args.m_max)
         for m, explained in zeros:
             if args.output == "csv":
                 lines.append(f"{d},{m},{'true' if explained else 'false'}")
@@ -330,7 +303,7 @@ def _bench_one(args, method: str, threads: int):
     pairs = [(d, m) for d in args.d for m in range(args.m_max + 1)]
     table = CoeffTable()
     start = time.perf_counter()
-    _fill_table_in_pool(table, pairs, method, threads)
+    _fill_per_index(table, pairs, method, threads)
     elapsed = time.perf_counter() - start
     records = table.records_sorted()
     peak_bits = 0

@@ -19,8 +19,8 @@ Agreement of the two routes on every input is a tested invariant, as is
 independence of the choice of admissible iteration order n.
 
 Whole tables b_0..b_M come from ``coefficients_by_sweep``, one pass
-over the series of the iterates Q_k(Psi(w)); the residue route is its
-independent oracle.
+over the series of the iterates Q_k(Psi(w)), which ``CoeffTable.fill``
+runs once per degree; the residue route is its independent oracle.
 """
 
 from __future__ import annotations
@@ -39,18 +39,12 @@ METHOD_SWEEP = "sweep"
 
 @dataclass(frozen=True)
 class CoeffRecord:
-    """One computed coefficient with provenance.
-
-    ``n_used`` is the iteration order behind the value (0 for the
-    hardcoded m = 0 constants and shortcut zeros; for a sweep, the level
-    that fixes b_m).
-    """
+    """One computed coefficient with the method that produced it."""
 
     d: int
     m: int
     value: object
     method: str
-    n_used: int
 
 
 _poly_cache: dict[tuple[int, int], tuple[int, ...]] = {}
@@ -235,21 +229,13 @@ def coefficients_by_sweep(d: int, m_max: int) -> list:
     return [rational(beta[0][j], scale**j) for j in range(1, top + 1)]
 
 
-def laurent_coefficient(
-    d: int,
-    m: int,
-    *,
-    method: str = METHOD_RESIDUE,
-    use_vanishing_shortcut: bool = True,
-    n: int | None = None,
-) -> CoeffRecord:
+def laurent_coefficient(d: int, m: int, *, method: str = METHOD_RESIDUE) -> CoeffRecord:
     """The m-th exterior-map coefficient for degree d, with provenance.
 
     m = 0 is handled by the two directly-computed constants (-1/2 for
     d = 2, 0 for d >= 3).  For d >= 3 and (d-1) not dividing (m+1) the
-    coefficient vanishes identically; the shortcut records that zero
-    without series work unless ``use_vanishing_shortcut`` is False, in
-    which case the full computation runs (and must return zero).
+    coefficient vanishes identically, and that zero is recorded without
+    series work; ``coefficient_by_residue`` computes it in full.
     """
     if d < 2:
         raise ValueError("degree d must be >= 2")
@@ -259,24 +245,24 @@ def laurent_coefficient(
         raise ValueError(f"unknown method {method!r}")
     if m == 0:
         value = rational(-1, 2) if d == 2 else ZERO
-        return CoeffRecord(d, m, value, METHOD_SPECIAL, 0)
-    if use_vanishing_shortcut and vanishes_by_divisibility(d, m):
-        return CoeffRecord(d, m, ZERO, METHOD_SPECIAL, 0)
-    if n is None:
-        n = choose_n(d, m)
+        return CoeffRecord(d, m, value, METHOD_SPECIAL)
+    if vanishes_by_divisibility(d, m):
+        return CoeffRecord(d, m, ZERO, METHOD_SPECIAL)
     if method == METHOD_RESIDUE:
-        value = coefficient_by_residue(d, m, n)
+        value = coefficient_by_residue(d, m)
     else:
-        value = coefficient_by_partition_sum(d, m, n)
-    return CoeffRecord(d, m, value, method, n)
+        value = coefficient_by_partition_sum(d, m, choose_n(d, m))
+    return CoeffRecord(d, m, value, method)
 
 
 class CoeffTable:
     """Memoizing coefficient store keyed by (d, m).
 
     Reads are pure lookups and safe to share; population must stay with
-    a single writer (the computing loop or an explicit ``add``).  A
-    missing record is computed on demand by the residue route.
+    a single writer (``fill``, ``record`` or an explicit ``add``).
+    ``fill`` is how bulk readers get their coefficients: one column sweep
+    per degree.  ``record`` computes a single missing index by the
+    residue route, which costs a fraction of a sweep to the same m.
     """
 
     def __init__(self):
@@ -293,6 +279,24 @@ class CoeffTable:
 
     def get(self, d: int, m: int) -> CoeffRecord | None:
         return self._records.get((d, m))
+
+    def fill(self, pairs, full=()):
+        """Compute every (d, m) in ``pairs`` that the table lacks, and every
+        pair in ``full``, by one ``coefficients_by_sweep`` per degree.
+
+        Each sweep runs up to the largest index it has to write and writes
+        only the wanted indices, so records already held below it stay.  A
+        ``full`` pair is recomputed even when held: a check that reads it
+        never sees a cached or shortcut value.
+        """
+        wanted = {key for key in pairs if key not in self._records} | set(full)
+        tops = {}
+        for d, m in wanted:
+            tops[d] = max(tops.get(d, 0), m)
+        for d, top in sorted(tops.items()):
+            for m, value in enumerate(coefficients_by_sweep(d, top)):
+                if (d, m) in wanted:
+                    self._records[(d, m)] = CoeffRecord(d, m, value, METHOD_SWEEP)
 
     def record(self, d: int, m: int) -> CoeffRecord:
         key = (d, m)
@@ -313,13 +317,15 @@ def zero_census(d: int, m_max: int, table: CoeffTable | None = None):
     """All m <= m_max with b_m = 0, flagged by whether the vanishing is
     explained by ``vanishes_by_divisibility`` (which covers m = 0 for d >= 3).
 
-    Unexplained candidates are found by full computation; no pattern
-    beyond the divisibility criterion is assumed.
+    Unexplained candidates are found by full computation, one sweep over
+    the indices the criterion leaves open; no pattern beyond the
+    divisibility criterion is assumed.
     """
     if m_max < 0:
         raise ValueError("m_max must be >= 0")
     if table is None:
         table = CoeffTable()
+    table.fill([(d, m) for m in range(m_max + 1) if not vanishes_by_divisibility(d, m)])
     zeros = []
     for m in range(m_max + 1):
         if vanishes_by_divisibility(d, m):

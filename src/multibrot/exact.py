@@ -22,6 +22,7 @@ unambiguous.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import Union
@@ -33,6 +34,11 @@ GMP_BACKEND = False
 
 ZERO = rational(0)
 ONE = rational(1)
+
+# Largest degree the command line and table files accept.  Primality and
+# factorization are by trial division up to sqrt(d): under a second each
+# up to here, minutes at 2^61 - 1.
+MAX_DEGREE = 10**13
 
 
 class SignedInfinity:
@@ -90,8 +96,10 @@ NEG_INF = SignedInfinity(-1)
 ExtendedInt = Union[int, SignedInfinity]
 
 
+@functools.lru_cache(maxsize=1024)
 def is_prime(p: int) -> bool:
-    """Deterministic primality by trial division up to sqrt(p)."""
+    """Deterministic primality by trial division up to sqrt(p), memoized:
+    the checks ask it of the same degree at every index."""
     if p < 2:
         return False
     if p < 4:
@@ -169,10 +177,16 @@ def factorial_valuation(m: int, p: int) -> int:
 def factorize(d: int) -> list[tuple[int, int]]:
     """Prime factorization of d >= 2 as a sorted list of (prime, exponent).
 
-    Trial division; degrees handled here are small.
+    Trial division, done once per d: the checks ask for the factors of
+    the same degree at every index.
     """
     if not isinstance(d, int) or d < 2:
         raise ValueError(f"d must be an integer >= 2, got {d!r}")
+    return list(_trial_division(d))
+
+
+@functools.lru_cache(maxsize=1024)
+def _trial_division(d: int) -> tuple[tuple[int, int], ...]:
     factors = []
     rest = d
     f = 2
@@ -186,7 +200,7 @@ def factorize(d: int) -> list[tuple[int, int]]:
         f += 1 if f == 2 else 2
     if rest > 1:
         factors.append((rest, 1))
-    return factors
+    return tuple(factors)
 
 
 def is_d_adic(den: int, d: int) -> bool:

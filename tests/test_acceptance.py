@@ -40,7 +40,6 @@ from multibrot.checks import (
     suite_verdicts,
 )
 from multibrot.coeffs import (
-    METHOD_SWEEP,
     CoeffRecord,
     CoeffTable,
     choose_n,
@@ -73,7 +72,7 @@ def _criterion(num, name, ok, detail=""):
 @pytest.fixture(scope="module")
 def table():
     t = CoeffTable()
-    cli._fill_table(t, [(2, m) for m in range(M_MAX + 1)], METHOD_SWEEP)
+    t.fill([(2, m) for m in range(M_MAX + 1)])
     return t
 
 
@@ -84,7 +83,7 @@ def _ensure_main_degree_pairs(t):
         for m in range(M_SUBSET + 1)
         if (m + 1) % (d - 1) == 0
     ]
-    cli._fill_table(t, pairs, METHOD_SWEEP)
+    t.fill(pairs)
 
 
 def test_criterion_01_known_constants():
@@ -306,7 +305,7 @@ def test_full_range_sweep_m1000(degree_two_table_m1000):
     start = time.perf_counter()
     t = CoeffTable()
     for d, m, value in degree_two_table_m1000[1]:
-        t.add(CoeffRecord(d, m, value, "cached", -1))
+        t.add(CoeffRecord(d, m, value, "cached"))
     bad = []
     for m in range(1001):
         if not check_zagier(m, t).passed:

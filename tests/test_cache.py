@@ -51,7 +51,7 @@ def test_round_trip_many_records_bit_exact(tmp_path):
 
 def test_accepts_coeff_records(tmp_path):
     path = tmp_path / "coeffs.csv"
-    store_coefficients(path, [CoeffRecord(2, 1, rational(1, 8), "residue", 1)])
+    store_coefficients(path, [CoeffRecord(2, 1, rational(1, 8), "residue")])
     assert load_coefficients(path) == [(2, 1, rational(1, 8))]
 
 
@@ -118,6 +118,12 @@ def test_foreign_prime_in_denominator_rejected():
     # a 3 in the denominator cannot occur for degree 2
     with pytest.raises(CacheFormatError, match="prime factor"):
         parse_table(_with_payload(["2,1,1,3"]))
+
+
+def test_degree_out_of_reach_rejected():
+    # factoring 2^61 - 1 by trial division for the d-adic test takes minutes
+    with pytest.raises(CacheFormatError, match="line 2: invalid indices"):
+        parse_table(_with_payload([f"{2**61 - 1},1,0,1"]))
 
 
 def test_composite_degree_denominator_accepted():

@@ -17,7 +17,8 @@ from multibrot.checks import (
     verdict_line,
     write_report,
 )
-from multibrot.coeffs import CoeffRecord, CoeffTable
+from multibrot import checks, coeffs
+from multibrot.coeffs import CoeffRecord, CoeffTable, zero_census
 from multibrot.exact import NEG_INF, POS_INF, factorial_valuation, rational
 
 
@@ -191,13 +192,13 @@ class TestVanishing:
         # a poisoned shortcut or cached record must not make the check vacuous
         for method in ("special-case", "cached"):
             poisoned = CoeffTable()
-            poisoned.add(CoeffRecord(3, 2, rational(1, 9), method, 0))
+            poisoned.add(CoeffRecord(3, 2, rational(1, 9), method))
             v = check_vanishing(3, 2, full_table=poisoned)
             assert v.passed, method
 
     def test_trusts_genuine_full_records(self):
         full = CoeffTable()
-        full.add(CoeffRecord(3, 2, rational(1, 9), "residue", 1))
+        full.add(CoeffRecord(3, 2, rational(1, 9), "residue"))
         v = check_vanishing(3, 2, full_table=full)
         assert not v.passed
 
@@ -220,7 +221,7 @@ class TestIntegrality:
 
     def test_non_dadic_value_cannot_be_cleared(self):
         bad = CoeffTable()
-        bad.add(CoeffRecord(2, 1, rational(1, 3), "cached", -1))
+        bad.add(CoeffRecord(2, 1, rational(1, 3), "cached"))
         v = check_integrality(2, 1, bad)
         assert v.attained is POS_INF
         assert not v.passed
@@ -233,7 +234,7 @@ class TestDadic:
 
     def test_foreign_denominator_fails(self):
         bad = CoeffTable()
-        bad.add(CoeffRecord(2, 1, rational(1, 3), "cached", -1))
+        bad.add(CoeffRecord(2, 1, rational(1, 3), "cached"))
         assert not check_dadic(2, 1, bad).passed
 
 
@@ -296,6 +297,38 @@ class TestSuite:
         verdicts = suite_verdicts([2, 6], 8, ["main", "dadic"], table)
         keys = [(v.check, v.d, v.m, v.p if v.p is not None else -1) for v in verdicts]
         assert keys == sorted(keys)
+
+
+class TestOneFillPath:
+    """A library caller's table is filled by one sweep per degree, as the
+    command line's is; nothing falls back to a per-index route."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        made = []
+
+        def counting(module, name):
+            real = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                made.append((name, args[0]))
+                return real(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapper)
+
+        counting(coeffs, "coefficients_by_sweep")
+        counting(coeffs, "laurent_coefficient")
+        counting(coeffs, "coefficient_by_residue")
+        counting(checks, "coefficient_by_residue")
+        return made
+
+    def test_suite_verdicts(self, calls):
+        verdicts = suite_verdicts([2, 3], 60, CHECK_NAMES)
+        assert verdicts
+        assert calls == [("coefficients_by_sweep", 2), ("coefficients_by_sweep", 3)]
+
+    def test_zero_census(self, calls):
+        assert (4, False) in zero_census(2, 60)
+        assert calls == [("coefficients_by_sweep", 2)]
 
 
 class TestReportFormat:

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from multibrot import cache
+from multibrot import cache, exact
 from multibrot.cli import (
     EXIT_IO,
     EXIT_OK,
@@ -90,7 +90,7 @@ class TestCompute:
     def test_json_lines_above_the_int_str_digit_cap(self):
         limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
         value = rational(-(10**20000 + 1), 2**66439)
-        row = json.loads(_records_json_lines([CoeffRecord(2, 9999, value, "residue", 13)]))
+        row = json.loads(_records_json_lines([CoeffRecord(2, 9999, value, "residue")]))
         assert row["numerator"] == "-1" + "0" * 19999 + "1"
         assert len(row["denominator"]) == 20001
         assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
@@ -125,10 +125,10 @@ class TestCompute:
 
         real = cli_mod.laurent_coefficient
 
-        def skewed(d, m, *, method="residue", use_vanishing_shortcut=True, n=None):
-            rec = real(d, m, method=method, use_vanishing_shortcut=use_vanishing_shortcut, n=n)
+        def skewed(d, m, *, method="residue"):
+            rec = real(d, m, method=method)
             if method == "combinatorial" and m == 2:
-                return CoeffRecord(d, m, rec.value + 1, rec.method, rec.n_used)
+                return CoeffRecord(d, m, rec.value + 1, rec.method)
             return rec
 
         monkeypatch.setattr(cli_mod, "laurent_coefficient", skewed)
@@ -178,13 +178,14 @@ class TestVerify:
         assert code == EXIT_USAGE
         assert "unknown check" in err
 
-    def test_empty_check_list_is_empty_report_and_success(self, capsys):
-        code, out, _ = run(capsys, "verify", "--d", "2", "--m-max", "5",
-                           "--threads", "1", "--checks", "")
-        assert code == EXIT_OK
-        lines = out.splitlines()
-        assert lines[0] == "#multibrot-verdicts v1"
-        assert len(lines) == 2
+    def test_empty_check_list_is_usage_error(self, capsys):
+        # like an empty --d: a run that checks nothing is a mistake, not a pass
+        for checks in ("", ",", " , "):
+            code, out, err = run(capsys, "verify", "--d", "2", "--m-max", "5",
+                                 "--threads", "1", "--checks", checks)
+            assert code == EXIT_USAGE, checks
+            assert out == ""
+            assert "at least one check is required" in err
 
     def test_preload_cache(self, capsys, tmp_path):
         path = tmp_path / "table.csv"
@@ -223,7 +224,7 @@ class TestVerify:
 
     def test_checks_compute_no_coefficient_lazily(self, capsys, monkeypatch):
         # Every coefficient a check reads must come from the table that
-        # cmd_verify fills up front.
+        # suite_verdicts fills up front.
         import multibrot.checks as checks_mod
         import multibrot.cli as cli_mod
         import multibrot.coeffs as coeffs_mod
@@ -238,9 +239,11 @@ class TestVerify:
                 return real(d, m, **kwargs)
             return wrapper
 
-        for module in (coeffs_mod, checks_mod):
-            monkeypatch.setattr(module, "laurent_coefficient",
-                                counting(module.laurent_coefficient))
+        # CoeffTable.record computes through coeffs.laurent_coefficient, and
+        # check_vanishing recomputes an untrusted record by the residue route
+        for module, name in ((coeffs_mod, "laurent_coefficient"),
+                             (checks_mod, "coefficient_by_residue")):
+            monkeypatch.setattr(module, name, counting(getattr(module, name)))
         real_suite = cli_mod.suite_verdicts
 
         def suite(*args, **kwargs):
@@ -394,6 +397,35 @@ def test_huge_degree(capsys, command):
     code, out, _ = run(capsys, command, "--d", str(10**11), "--m-max", "3", "--threads", "1")
     assert code == EXIT_OK
     assert out
+
+
+def test_degree_limit(capsys, tmp_path):
+    # trial division of 2^61 - 1 takes minutes; MAX_DEGREE itself is accepted
+    for command in ("compute", "verify", "census", "bench"):
+        code, out, err = run(capsys, command, "--d", str(2**61 - 1), "--m-max", "3",
+                             "--threads", "1")
+        assert code == EXIT_USAGE and out == "", command
+        assert f"degree must be <= {exact.MAX_DEGREE}" in err
+    code, out, _ = run(capsys, "verify", "--d", str(exact.MAX_DEGREE), "--m-max", "3",
+                       "--threads", "1")
+    assert code == EXIT_OK and out
+    path = tmp_path / "table.csv"
+    path.write_text(cache.checksummed_text(cache.HEADER, [f"{2**61 - 1},1,0,1"]))
+    code, _, err = run(capsys, "verify", "--d", "2", "--m-max", "3", "--threads", "1",
+                       "--cache", str(path))
+    assert code == EXIT_IO
+    assert "bad coefficient table: line 2: invalid indices" in err
+
+
+def test_each_degree_is_factored_once(capsys):
+    # the checks ask for the primality and the factors of d at every m
+    exact._trial_division.cache_clear()
+    exact.is_prime.cache_clear()
+    code, _, _ = run(capsys, "verify", "--d", "1000000000039", "--m-max", "50",
+                     "--threads", "1")
+    assert code == EXIT_OK
+    assert exact._trial_division.cache_info().misses == 1
+    assert exact.is_prime.cache_info().misses == 1
 
 
 class TestDeterminism:

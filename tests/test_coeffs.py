@@ -8,6 +8,8 @@ from multibrot.coeffs import (
     METHOD_COMBINATORIAL,
     METHOD_RESIDUE,
     METHOD_SPECIAL,
+    METHOD_SWEEP,
+    CoeffRecord,
     CoeffTable,
     choose_n,
     coefficient_by_partition_sum,
@@ -216,7 +218,7 @@ class TestDispatch:
     def test_m_zero_constants(self):
         rec = laurent_coefficient(2, 0)
         assert rec.value == rational(-1, 2)
-        assert rec.method == METHOD_SPECIAL and rec.n_used == 0
+        assert rec.method == METHOD_SPECIAL
         for d in (3, 4, 5, 9):
             rec = laurent_coefficient(d, 0)
             assert rec.value == 0
@@ -227,10 +229,8 @@ class TestDispatch:
         assert rec.value == 0 and rec.method == METHOD_SPECIAL
 
     def test_shortcut_can_be_disabled(self):
-        rec = laurent_coefficient(3, 2, use_vanishing_shortcut=False)
-        assert rec.value == 0
-        assert rec.method == METHOD_RESIDUE
-        assert rec.n_used == choose_n(3, 2)
+        # the full computation behind the shortcut's zero
+        assert coefficient_by_residue(3, 2) == 0
 
     def test_degree_two_never_shortcuts(self):
         rec = laurent_coefficient(2, 4)
@@ -312,6 +312,28 @@ class TestZeroCensus:
         with pytest.raises(ValueError):
             zero_census(2, -1)
 
+    def test_degree_two_zeros_to_m1000(self, degree_two_table_m1000):
+        # step 4 to 16, step 8 from 24 to 96, step 16 from 112 to 448, then
+        # step 32; none is explained by the divisibility criterion
+        table = CoeffTable()
+        for d, m, value in degree_two_table_m1000[1]:
+            table.add(CoeffRecord(d, m, value, "cached"))
+        zeros = zero_census(2, 1000, table)
+        assert zeros == [(m, False) for m in [*range(4, 17, 4), *range(24, 97, 8),
+                                              *range(112, 449, 16), *range(480, 993, 32)]]
+        assert len(zeros) == 53
+
+    def test_degree_three_odd_zeros_to_m1000(self):
+        # the even indices vanish by the divisibility criterion; these odd
+        # ones are observed, not explained: gaps 6, 12, 6, then 18s, 36s
+        # and 54s, not a single arithmetic progression
+        zeros = zero_census(3, 1000)
+        assert [m for m, explained in zeros if explained] == list(range(0, 1001, 2))
+        assert [m for m, explained in zeros if not explained] == [
+            3, 9, 21, 27, 45, 63, 81, 99, 117, 135, 153, 171, 189, 225, 243, 279,
+            297, 333, 351, 387, 405, 459, 513, 567, 621, 675, 729, 783, 837, 891, 945, 999,
+        ]
+
 
 class TestCoeffTable:
     def test_memoizes(self):
@@ -321,6 +343,27 @@ class TestCoeffTable:
         assert table.value(2, 3) == rational(15, 128)
         assert len(table) == 1
         assert (2, 3) in table
+
+    def test_fill_sweeps_missing_and_full_pairs_only(self, monkeypatch):
+        sweeps = []
+        real = coeffs.coefficients_by_sweep
+
+        def sweep(d, m_max):
+            sweeps.append((d, m_max))
+            return real(d, m_max)
+
+        monkeypatch.setattr(coeffs, "coefficients_by_sweep", sweep)
+        table = CoeffTable()
+        table.add(CoeffRecord(2, 1, rational(1, 2), "cached"))
+        table.add(CoeffRecord(3, 2, rational(1, 9), "cached"))
+        table.fill([(2, m) for m in range(6)] + [(3, 1)], full=[(3, 2)])
+        assert sweeps == [(2, 5), (3, 2)]
+        assert table.get(2, 1).value == rational(1, 2)  # held below the sweep: kept
+        assert table.get(2, 5) == CoeffRecord(2, 5, rational(-47, 1024), METHOD_SWEEP)
+        assert table.get(3, 2) == CoeffRecord(3, 2, 0, METHOD_SWEEP)  # full: replaced
+        assert (3, 0) not in table  # swept over, not asked for
+        table.fill([(2, m) for m in range(6)])
+        assert len(sweeps) == 2
 
     def test_sorted_listing(self):
         table = CoeffTable()

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from multibrot import exact
 from multibrot.exact import (
     NEG_INF,
     POS_INF,
@@ -115,6 +116,13 @@ class TestFactorize:
     def test_rejects_small(self, d):
         with pytest.raises(ValueError):
             factorize(d)
+
+    def test_trial_division_runs_once_per_degree(self):
+        exact._trial_division.cache_clear()
+        first = factorize(360)
+        first.append((7, 1))  # each caller gets a list of its own
+        assert factorize(360) == [(2, 3), (3, 2), (5, 1)]
+        assert exact._trial_division.cache_info().misses == 1
 
     @given(d=st.integers(2, 10**6))
     def test_reconstructs_and_is_sorted(self, d):
