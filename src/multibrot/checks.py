@@ -49,9 +49,7 @@ from .exact import (
     padic_valuation,
 )
 from .coeffs import (
-    METHOD_COMBINATORIAL,
-    METHOD_RESIDUE,
-    METHOD_SWEEP,
+    TRUSTED_METHODS,
     CoeffTable,
     coefficient_by_residue,
     vanishes_by_divisibility,
@@ -178,8 +176,7 @@ def check_vanishing(d: int, m: int, full_table: CoeffTable | None = None) -> Ver
     if not vanishes_by_divisibility(d, m):
         raise ValueError("(d-1) | (m+1): this index is covered by check_main")
     record = full_table.get(d, m) if full_table is not None else None
-    if record is not None and record.method in (
-            METHOD_RESIDUE, METHOD_COMBINATORIAL, METHOD_SWEEP):
+    if record is not None and record.method in TRUSTED_METHODS:
         value = record.value
     else:
         value = coefficient_by_residue(d, m)

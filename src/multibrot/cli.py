@@ -3,19 +3,17 @@
 Subcommands: ``compute`` (coefficient tables), ``verify`` (bound checks
 with a machine-readable report), ``census`` (zero coefficients and
 whether the divisibility criterion explains them), and ``bench``
-(timings plus cross-method/cross-thread-count correctness hashes).
+(timings of the per-index routes plus cross-method correctness hashes).
 
-``compute``, ``verify`` and ``census`` fill their tables serially, with
-one column sweep per degree (``CoeffTable.fill``, run by ``compute``
-itself and by the library's ``suite_verdicts`` and ``zero_census``).
-Only ``bench`` starts worker processes:
-it times the per-index residue and partition-sum routes on ``--threads``
-workers, partitioned by index and merged in sorted order, so every
-worker count gives byte-identical tables.
+Every command runs in one process.  ``compute``, ``verify`` and
+``census`` fill their tables with one column sweep per degree
+(``CoeffTable.fill``, run by ``compute`` itself and by the library's
+``suite_verdicts`` and ``zero_census``); ``bench`` and the partition-sum
+pass of ``compute`` add one per-index record at a time.  ``--threads`` is
+accepted and validated for compatibility but changes nothing.
 
 Exit codes: 0 success, 1 verification failure or method disagreement,
-2 usage error, 3 I/O error, malformed table or (``bench`` only) a broken
-worker pool.
+2 usage error, 3 I/O error, malformed table or out of memory.
 """
 
 from __future__ import annotations
@@ -27,7 +25,6 @@ import os
 import sys
 import time
 from collections import Counter
-from functools import partial
 from pathlib import Path
 
 from . import cache
@@ -117,10 +114,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="degree(s); repeatable or comma-separated (default: 2)")
         p.add_argument("--m-max", type=int, required=True, metavar="M",
                        help="largest coefficient index")
-        p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                       help="worker processes for bench (default: all cores); "
-                            "the other commands run serially; output is "
-                            "identical for any value")
+        p.add_argument("--threads", type=int, default=1,
+                       help="kept for compatibility: must be >= 1, changes "
+                            "nothing (every command runs in one process)")
         if methods is not None:
             p.add_argument("--method", choices=methods, default=method_default)
 
@@ -150,8 +146,6 @@ def build_parser() -> argparse.ArgumentParser:
                                            "correctness checks")
     common(p_bench, methods=(METHOD_RESIDUE, METHOD_COMBINATORIAL, "both"),
            method_default="both")
-    p_bench.add_argument("--threads-compare", type=int, default=None, metavar="N",
-                         help="re-run with N workers and require identical hashes")
 
     return parser
 
@@ -165,8 +159,6 @@ def normalize_args(args: argparse.Namespace) -> None:
         raise UsageError("--m-max must be >= 0")
     if args.threads < 1:
         raise UsageError("--threads must be >= 1")
-    if getattr(args, "threads_compare", None) is not None and args.threads_compare < 1:
-        raise UsageError("--threads-compare must be >= 1")
     if getattr(args, "cache", None) is not None:
         args.cache = _resolve_cache_path(args.cache)
     if args.command == "verify":
@@ -177,33 +169,10 @@ def normalize_args(args: argparse.Namespace) -> None:
 # coefficient computation
 
 
-def _compute_chunk(method, pairs):
-    """The record of each (d, m) pair by a per-index method, in order."""
-    return [laurent_coefficient(d, m, method=method) for d, m in pairs]
-
-
-def _fill_per_index(table, pairs, method, threads=1):
-    """Add the record of each (d, m) pair by the per-index ``method``:
-    serially, or for ``bench`` on up to ``threads`` worker processes.
-
-    Striped partitioning of the sorted pairs balances the heavier
-    high-index work, and no more workers start than there are stripes;
-    the table is the single writer-side aggregation point, so results
-    are merged here regardless of completion order.
-    """
-    if threads == 1:
-        for record in _compute_chunk(method, pairs):
-            table.add(record)
-        return
-    jobs = sorted(set(pairs))
-    stripes = threads * 4
-    tasks = [jobs[s::stripes] for s in range(min(stripes, len(jobs)))]
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=min(threads, len(tasks))) as pool:
-        for chunk in pool.map(partial(_compute_chunk, method), tasks):
-            for record in chunk:
-                table.add(record)
+def _fill_per_index(table, pairs, method):
+    """Add the record of each (d, m) pair by the per-index ``method``."""
+    for d, m in pairs:
+        table.add(laurent_coefficient(d, m, method=method))
 
 
 # ----------------------------------------------------------------------
@@ -239,10 +208,12 @@ def cmd_compute(args) -> int:
     else:
         table.fill(pairs)
     if args.method == "both":
-        for record in _compute_chunk(METHOD_COMBINATORIAL, pairs):
-            a, b = table.value(record.d, record.m), record.value
+        oracle = CoeffTable()
+        _fill_per_index(oracle, pairs, METHOD_COMBINATORIAL)
+        for d, m in pairs:
+            a, b = table.value(d, m), oracle.value(d, m)
             if a != b:
-                print(f"multibrot: method disagreement at d={record.d}, m={record.m}: "
+                print(f"multibrot: method disagreement at d={d}, m={m}: "
                       f"{METHOD_SWEEP}={a}, combinatorial={b}", file=sys.stderr)
                 return EXIT_VERIFICATION
     records = table.records_sorted()
@@ -299,11 +270,11 @@ def cmd_census(args) -> int:
     return EXIT_OK
 
 
-def _bench_one(args, method: str, threads: int):
+def _bench_one(args, method: str):
     pairs = [(d, m) for d in args.d for m in range(args.m_max + 1)]
     table = CoeffTable()
     start = time.perf_counter()
-    _fill_per_index(table, pairs, method, threads)
+    _fill_per_index(table, pairs, method)
     elapsed = time.perf_counter() - start
     records = table.records_sorted()
     peak_bits = 0
@@ -318,18 +289,13 @@ def _bench_one(args, method: str, threads: int):
 def cmd_bench(args) -> int:
     methods = ([METHOD_RESIDUE, METHOD_COMBINATORIAL]
                if args.method == "both" else [args.method])
-    thread_counts = [args.threads]
-    if args.threads_compare is not None and args.threads_compare != args.threads:
-        thread_counts.append(args.threads_compare)
-    print("method,threads,seconds,peak_coeff_bits,sha256")
-    hashes = {}
+    print("method,seconds,peak_coeff_bits,sha256")
+    hashes = set()
     for method in methods:
-        for threads in thread_counts:
-            elapsed, peak_bits, digest = _bench_one(args, method, threads)
-            hashes[(method, threads)] = digest
-            print(f"{method},{threads},{elapsed:.3f},{peak_bits},{digest}")
-    distinct = set(hashes.values())
-    if len(distinct) > 1:
+        elapsed, peak_bits, digest = _bench_one(args, method)
+        hashes.add(digest)
+        print(f"{method},{elapsed:.3f},{peak_bits},{digest}")
+    if len(hashes) > 1:
         print("multibrot bench: hash mismatch across runs; values disagree",
               file=sys.stderr)
         return EXIT_VERIFICATION
@@ -358,13 +324,8 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"multibrot: I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except RuntimeError as exc:
-        # imported here: the module takes a third of the CLI's import time
-        from concurrent.futures.process import BrokenProcessPool
-
-        if not isinstance(exc, BrokenProcessPool):
-            raise
-        print(f"multibrot: worker pool broke: {exc}", file=sys.stderr)
+    except MemoryError:
+        print("multibrot: out of memory", file=sys.stderr)
         return EXIT_IO
 
 

@@ -35,6 +35,9 @@ METHOD_RESIDUE = "residue"
 METHOD_COMBINATORIAL = "combinatorial"
 METHOD_SPECIAL = "special-case"
 METHOD_SWEEP = "sweep"
+# Methods whose records come from a full computation, vanishing shortcut
+# off; a check that must not read a shortcut or cached value trusts these.
+TRUSTED_METHODS = frozenset((METHOD_RESIDUE, METHOD_COMBINATORIAL, METHOD_SWEEP))
 
 
 @dataclass(frozen=True)
@@ -280,16 +283,23 @@ class CoeffTable:
     def get(self, d: int, m: int) -> CoeffRecord | None:
         return self._records.get((d, m))
 
+    def _trusted(self, key) -> bool:
+        record = self._records.get(key)
+        return record is not None and record.method in TRUSTED_METHODS
+
     def fill(self, pairs, full=()):
         """Compute every (d, m) in ``pairs`` that the table lacks, and every
-        pair in ``full``, by one ``coefficients_by_sweep`` per degree.
+        pair in ``full`` whose record is missing or not of a
+        ``TRUSTED_METHODS`` method, by one ``coefficients_by_sweep`` per
+        degree.
 
         Each sweep runs up to the largest index it has to write and writes
         only the wanted indices, so records already held below it stay.  A
-        ``full`` pair is recomputed even when held: a check that reads it
-        never sees a cached or shortcut value.
+        check that reads a ``full`` pair never sees a cached or shortcut
+        value.
         """
-        wanted = {key for key in pairs if key not in self._records} | set(full)
+        wanted = {key for key in pairs if key not in self._records}
+        wanted |= {key for key in full if not self._trusted(key)}
         tops = {}
         for d, m in wanted:
             tops[d] = max(tops.get(d, 0), m)

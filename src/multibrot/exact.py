@@ -33,7 +33,6 @@ rational = Fraction
 GMP_BACKEND = False
 
 ZERO = rational(0)
-ONE = rational(1)
 
 # Largest degree the command line and table files accept.  Primality and
 # factorization are by trial division up to sqrt(d): under a second each

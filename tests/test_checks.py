@@ -330,6 +330,14 @@ class TestOneFillPath:
         assert (4, False) in zero_census(2, 60)
         assert calls == [("coefficients_by_sweep", 2)]
 
+    def test_trusted_full_records_are_not_swept_again(self, calls):
+        table = CoeffTable()
+        first = suite_verdicts([3], 60, ["vanishing"], table)
+        assert calls == [("coefficients_by_sweep", 3)]
+        calls.clear()
+        assert suite_verdicts([3], 60, ["vanishing"], table) == first
+        assert calls == []
+
 
 class TestReportFormat:
     def test_line_fields(self, table):

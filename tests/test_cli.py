@@ -1,7 +1,5 @@
 import hashlib
 import json
-import multiprocessing
-import os
 import sys
 
 import pytest
@@ -354,41 +352,51 @@ class TestCensus:
 
 class TestBench:
     def test_hashes_match_across_methods_and_thread_counts(self, capsys):
-        code, out, _ = run(capsys, "bench", "--d", "2", "--m-max", "12",
-                           "--threads", "1", "--threads-compare", "2")
-        assert code == EXIT_OK
-        lines = out.splitlines()
-        assert lines[0] == "method,threads,seconds,peak_coeff_bits,sha256"
-        rows = [line.split(",") for line in lines[1:]]
-        assert len(rows) == 4  # two methods x two thread counts
-        assert len({row[4] for row in rows}) == 1
-        assert {row[0] for row in rows} == {"residue", "combinatorial"}
+        hashes = set()
+        for threads in ("1", "4"):
+            code, out, _ = run(capsys, "bench", "--d", "2", "--m-max", "12",
+                               "--threads", threads)
+            assert code == EXIT_OK
+            lines = out.splitlines()
+            assert lines[0] == "method,seconds,peak_coeff_bits,sha256"
+            rows = [line.split(",") for line in lines[1:]]
+            assert [row[0] for row in rows] == ["residue", "combinatorial"]
+            hashes |= {row[3] for row in rows}
+        assert len(hashes) == 1
 
     def test_trivial_range(self, capsys):
         code, out, _ = run(capsys, "bench", "--d", "2", "--m-max", "0", "--threads", "1")
         assert code == EXIT_OK
         rows = [line.split(",") for line in out.splitlines()[1:]]
-        assert len({row[4] for row in rows}) == 1
+        assert len({row[3] for row in rows}) == 1
 
-    def test_one_process_pool(self, capsys, pools):
-        code, _, _ = run(capsys, "bench", "--d", "3", "--m-max", "30",
-                         "--method", "residue", "--threads", "2")
-        assert code == EXIT_OK
-        assert len(pools) == 1
-
-    def test_no_more_workers_than_tasks(self, capsys, pools):
-        code, _, _ = run(capsys, "bench", "--d", "2", "--m-max", "4", "--threads", "8")
-        assert code == EXIT_OK
-        assert len(pools) == 2  # one per method
-        assert all(pool._max_workers <= 5 for pool in pools)
+    def test_threads_compare_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["bench", "--d", "2", "--m-max", "4", "--threads-compare", "2"])
+        assert excinfo.value.code == EXIT_USAGE
+        assert "--threads-compare" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["compute", "verify", "census"])
-def test_only_bench_starts_processes(capsys, pools, command):
+@pytest.mark.parametrize("command", ["compute", "verify", "census", "bench"])
+def test_no_command_starts_processes(capsys, pools, command):
     code, out, _ = run(capsys, command, "--d", "2,3", "--m-max", "30", "--threads", "4")
     assert code in (EXIT_OK, EXIT_VERIFICATION)
     assert out
     assert pools == []
+
+
+def test_out_of_memory_exits_3(capsys, monkeypatch):
+    # the sweep's MemoryError is simulated; nothing large is allocated
+    import multibrot.coeffs as coeffs_mod
+
+    def exhausted(d, m_max):
+        raise MemoryError
+
+    monkeypatch.setattr(coeffs_mod, "coefficients_by_sweep", exhausted)
+    code, out, err = run(capsys, "compute", "--d", "2", "--m-max", "50", "--threads", "1")
+    assert code == EXIT_IO
+    assert out == ""
+    assert err == "multibrot: out of memory\n"
 
 
 @pytest.mark.parametrize("command", ["compute", "verify", "census"])
@@ -441,26 +449,6 @@ class TestDeterminism:
         assert main(args + ["--threads", "4", "--report", str(r4)]) == EXIT_OK
         capsys.readouterr()
         assert r1.read_bytes() == r4.read_bytes()
-
-
-@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
-                    reason="workers must inherit the patched function")
-def test_broken_process_pool_exits_3(capsys, monkeypatch):
-    import multibrot.cli as cli_mod
-
-    real = cli_mod.laurent_coefficient
-
-    def dying(d, m, **kwargs):
-        if m == 7:
-            os._exit(1)
-        return real(d, m, **kwargs)
-
-    monkeypatch.setattr(cli_mod, "laurent_coefficient", dying)
-    code, out, err = run(capsys, "bench", "--d", "2", "--m-max", "12",
-                         "--method", "residue", "--threads", "2")
-    assert code == EXIT_IO
-    assert out == "method,threads,seconds,peak_coeff_bits,sha256\n"
-    assert "worker pool broke" in err and "Traceback" not in err
 
 
 class TestUsageErrors:

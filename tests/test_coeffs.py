@@ -334,6 +334,25 @@ class TestZeroCensus:
             297, 333, 351, 387, 405, 459, 513, 567, 621, 675, 729, 783, 837, 891, 945, 999,
         ]
 
+    @pytest.mark.slow
+    def test_zeros_to_m2000(self):
+        # about 70 s on one core, 61 s of it the d = 2 sweep.  d = 2: the
+        # blocks have steps 4, 8, 16, 32, 64; each runs from its start s to
+        # 4s, and the next starts one (doubled) step after that, so the
+        # fifth block starts at 1920 + 64 = 1984.  d = 3: the odd zeros keep
+        # the step 54 from 405 to 1971.  Observed, not explained.
+        zeros = zero_census(2, 2000)
+        assert zeros == [(m, False) for m in [*range(4, 17, 4), *range(24, 97, 8),
+                                              *range(112, 449, 16), *range(480, 1921, 32),
+                                              1984]]
+        assert len(zeros) == 83
+        zeros = zero_census(3, 2000)
+        assert [m for m, explained in zeros if explained] == list(range(0, 2001, 2))
+        assert [m for m, explained in zeros if not explained] == [
+            3, 9, 21, 27, 45, 63, 81, 99, 117, 135, 153, 171, 189, 225, 243, 279,
+            297, 333, 351, 387, 405, *range(459, 1972, 54),
+        ]
+
 
 class TestCoeffTable:
     def test_memoizes(self):
