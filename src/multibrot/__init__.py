@@ -3,9 +3,11 @@
 The conformal map from the exterior of the closed unit disk onto the
 complement of the degree-d Multibrot set expands at infinity as
 z + sum(b_m z^-m).  This package computes every b_m exactly (big-rational
-arithmetic throughout), by two independent methods, and mechanically
-verifies the known valuation bounds and vanishing statements about the
-denominators of these coefficients.
+arithmetic throughout) by three routes: a column sweep that fills whole
+tables, and the per-index residue and partition-sum routes that serve as
+its independent oracles.  It mechanically verifies the known valuation
+bounds and vanishing statements about the denominators of these
+coefficients.
 """
 
 from .exact import (
@@ -57,7 +59,6 @@ from .checks import (
     denominator_exponent,
     format_report,
     suite_verdicts,
-    write_report,
 )
 
 __version__ = "0.1.0"
@@ -106,6 +107,5 @@ __all__ = [
     "denominator_exponent",
     "format_report",
     "suite_verdicts",
-    "write_report",
     "__version__",
 ]

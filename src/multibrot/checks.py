@@ -30,7 +30,8 @@ satisfies every bound and never counts as equality against a finite one.
 ``CHECKS`` is the one place that declares at which (d, m) each check
 applies and whether it reads fully computed coefficients;
 ``suite_verdicts`` reads it through ``applicable`` and fills its table
-from it before any check runs.
+from it before any check runs, and every ``check_*`` function raises
+``ValueError`` where it says the check does not apply.
 """
 
 from __future__ import annotations
@@ -48,12 +49,7 @@ from .exact import (
     is_prime,
     padic_valuation,
 )
-from .coeffs import (
-    TRUSTED_METHODS,
-    CoeffTable,
-    coefficient_by_residue,
-    vanishes_by_divisibility,
-)
+from .coeffs import CoeffTable, vanishes_by_divisibility
 
 REPORT_HEADER = "#multibrot-verdicts v1"
 
@@ -102,13 +98,14 @@ def _table(table):
     return table if table is not None else CoeffTable()
 
 
+def _require(name, d, m):
+    if not CHECKS[name].applies(d, m):
+        raise ValueError(f"check {name!r} does not apply at d={d}, m={m}")
+
+
 def check_main(d: int, m: int, table: CoeffTable | None = None) -> list[Verdict]:
     """One verdict per prime factor of d; requires (d-1) | (m+1)."""
-    if vanishes_by_divisibility(d, m):
-        raise ValueError(
-            "check_main requires (d-1) | (m+1); the complementary case is "
-            "covered by check_vanishing"
-        )
+    _require("main", d, m)
     a = (m + 1) // (d - 1)
     value = _table(table).value(d, m)
     verdicts = []
@@ -135,8 +132,7 @@ def check_ewing_schober(m: int, table: CoeffTable | None = None) -> Verdict:
 
 
 def check_levin(m: int, table: CoeffTable | None = None) -> Verdict:
-    if m % 2 == 0:
-        raise ValueError("check_levin applies to odd m only")
+    _require("levin", 2, m)
     value = _table(table).value(2, m)
     bound = factorial_valuation(2 * m + 2, 2)
     attained = denominator_exponent(value, 2)
@@ -145,8 +141,7 @@ def check_levin(m: int, table: CoeffTable | None = None) -> Verdict:
 
 def check_yamashita(p: int, m: int, table: CoeffTable | None = None) -> Verdict:
     """Prime-degree bound in floor form, checked against the additive form."""
-    if not is_prime(p):
-        raise ValueError(f"check_yamashita requires a prime degree, got {p}")
+    _require("yamashita", p, m)
     value = _table(table).value(p, m)
     attained = denominator_exponent(value, p)
     if vanishes_by_divisibility(p, m):
@@ -161,25 +156,18 @@ def check_yamashita(p: int, m: int, table: CoeffTable | None = None) -> Verdict:
     return verdict
 
 
-def check_vanishing(d: int, m: int, full_table: CoeffTable | None = None) -> Verdict:
+def check_vanishing(d: int, m: int, table: CoeffTable | None = None) -> Verdict:
     """Full computation (shortcut disabled) must return exactly zero.
 
-    ``full_table`` may hold precomputed records, but only ones that came
-    from an actual series/sum evaluation or a sweep are trusted; shortcut
-    and cached records are ignored and recomputed by the residue route,
-    otherwise the check would be vacuous.
+    The pair is filled as a ``full`` pair of ``CoeffTable.fill``, so a
+    missing, shortcut or cached record is replaced by a sweep record;
+    otherwise the check would be vacuous.  Without a table that sweeps
+    every index up to m.
     """
-    if d < 3:
-        raise ValueError("check_vanishing applies to d >= 3")
-    if m < 1:
-        raise ValueError("check_vanishing applies to m >= 1")
-    if not vanishes_by_divisibility(d, m):
-        raise ValueError("(d-1) | (m+1): this index is covered by check_main")
-    record = full_table.get(d, m) if full_table is not None else None
-    if record is not None and record.method in TRUSTED_METHODS:
-        value = record.value
-    else:
-        value = coefficient_by_residue(d, m)
+    _require("vanishing", d, m)
+    table = _table(table)
+    table.fill((), full=[(d, m)])
+    value = table.value(d, m)
     p_smallest = factorize(d)[0][0]
     attained = denominator_exponent(value, p_smallest)
     return _bound_verdict("vanishing", d, m, None, NEG_INF, attained, equality_predicted=True)
@@ -187,8 +175,7 @@ def check_vanishing(d: int, m: int, full_table: CoeffTable | None = None) -> Ver
 
 def check_integrality(d: int, m: int, table: CoeffTable | None = None) -> Verdict:
     """value * d^x integral for the ceiling exponent x derived from the main bound."""
-    if vanishes_by_divisibility(d, m):
-        raise ValueError("check_integrality requires (d-1) | (m+1)")
+    _require("integrality", d, m)
     a = (m + 1) // (d - 1)
     value = _table(table).value(d, m)
     factors = factorize(d)
@@ -317,8 +304,3 @@ def verdict_line(v: Verdict) -> str:
 def format_report(verdicts) -> str:
     lines = [verdict_line(v) for v in sorted(verdicts, key=_sort_key)]
     return checksummed_text(REPORT_HEADER, lines)
-
-
-def write_report(path, verdicts) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(format_report(verdicts))

@@ -40,6 +40,10 @@ from .coeffs import (
 )
 from .exact import MAX_DEGREE
 
+# Largest --m-max any command accepts: a d=2 sweep to m=5000 already
+# takes about an hour, and the pair list is built before any work.
+MAX_M = 10**5
+
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
 EXIT_USAGE = 2
@@ -121,8 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--method", choices=methods, default=method_default)
 
     p_compute = sub.add_parser("compute", help="compute a coefficient table")
-    common(p_compute, methods=(METHOD_SWEEP, METHOD_COMBINATORIAL, "both"),
-           method_default=METHOD_SWEEP)
+    common(p_compute, methods=(METHOD_SWEEP, "both"), method_default=METHOD_SWEEP)
     p_compute.add_argument("--cache", default=None, metavar="PATH",
                            help="write the table here instead of stdout "
                                 f"(relative paths resolve under ${CACHE_DIR_ENV})")
@@ -157,6 +160,8 @@ def normalize_args(args: argparse.Namespace) -> None:
     args.d = _parse_degrees(args.d) if args.d else [2]
     if args.m_max < 0:
         raise UsageError("--m-max must be >= 0")
+    if args.m_max > MAX_M:
+        raise UsageError(f"--m-max must be <= {MAX_M}, got {args.m_max}")
     if args.threads < 1:
         raise UsageError("--threads must be >= 1")
     if getattr(args, "cache", None) is not None:
@@ -203,10 +208,7 @@ def _records_json_lines(records) -> str:
 def cmd_compute(args) -> int:
     pairs = [(d, m) for d in args.d for m in range(args.m_max + 1)]
     table = CoeffTable()
-    if args.method == METHOD_COMBINATORIAL:
-        _fill_per_index(table, pairs, METHOD_COMBINATORIAL)
-    else:
-        table.fill(pairs)
+    table.fill(pairs)
     if args.method == "both":
         oracle = CoeffTable()
         _fill_per_index(oracle, pairs, METHOD_COMBINATORIAL)

@@ -261,8 +261,6 @@ def laurent_coefficient(d: int, m: int, *, method: str = METHOD_RESIDUE) -> Coef
 class CoeffTable:
     """Memoizing coefficient store keyed by (d, m).
 
-    Reads are pure lookups and safe to share; population must stay with
-    a single writer (``fill``, ``record`` or an explicit ``add``).
     ``fill`` is how bulk readers get their coefficients: one column sweep
     per degree.  ``record`` computes a single missing index by the
     residue route, which costs a fraction of a sweep to the same m.

@@ -35,7 +35,7 @@ GMP_BACKEND = False
 ZERO = rational(0)
 
 # Largest degree the command line and table files accept.  Primality and
-# factorization are by trial division up to sqrt(d): under a second each
+# factorization share one trial division up to sqrt(d): under a second
 # up to here, minutes at 2^61 - 1.
 MAX_DEGREE = 10**13
 
@@ -97,20 +97,9 @@ ExtendedInt = Union[int, SignedInfinity]
 
 @functools.lru_cache(maxsize=1024)
 def is_prime(p: int) -> bool:
-    """Deterministic primality by trial division up to sqrt(p), memoized:
-    the checks ask it of the same degree at every index."""
-    if p < 2:
-        return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    f = 3
-    while f * f <= p:
-        if p % f == 0:
-            return False
-        f += 2
-    return True
+    """Deterministic primality by the trial division that ``factorize``
+    runs, memoized: the checks ask it of the same degree at every index."""
+    return p >= 2 and _trial_division(p) == ((p, 1),)
 
 
 def _require_prime(p):

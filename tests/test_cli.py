@@ -10,6 +10,7 @@ from multibrot.cli import (
     EXIT_OK,
     EXIT_USAGE,
     EXIT_VERIFICATION,
+    MAX_M,
     _records_json_lines,
     main,
 )
@@ -223,7 +224,6 @@ class TestVerify:
     def test_checks_compute_no_coefficient_lazily(self, capsys, monkeypatch):
         # Every coefficient a check reads must come from the table that
         # suite_verdicts fills up front.
-        import multibrot.checks as checks_mod
         import multibrot.cli as cli_mod
         import multibrot.coeffs as coeffs_mod
 
@@ -237,11 +237,10 @@ class TestVerify:
                 return real(d, m, **kwargs)
             return wrapper
 
-        # CoeffTable.record computes through coeffs.laurent_coefficient, and
-        # check_vanishing recomputes an untrusted record by the residue route
-        for module, name in ((coeffs_mod, "laurent_coefficient"),
-                             (checks_mod, "coefficient_by_residue")):
-            monkeypatch.setattr(module, name, counting(getattr(module, name)))
+        # CoeffTable.record computes through coeffs.laurent_coefficient, which
+        # reaches the per-index residue route
+        for name in ("laurent_coefficient", "coefficient_by_residue"):
+            monkeypatch.setattr(coeffs_mod, name, counting(getattr(coeffs_mod, name)))
         real_suite = cli_mod.suite_verdicts
 
         def suite(*args, **kwargs):
@@ -465,6 +464,26 @@ class TestUsageErrors:
         code, _, err = run(capsys, *argv)
         assert code == EXIT_USAGE
         assert err
+
+    @pytest.mark.parametrize("command", ["compute", "verify", "census", "bench"])
+    def test_m_max_above_the_cap(self, capsys, command):
+        # rejected before any pair list is built
+        code, out, err = run(capsys, command, "--d", "2", "--m-max", str(10**12))
+        assert code == EXIT_USAGE and out == ""
+        assert err == f"multibrot: --m-max must be <= {MAX_M}, got {10**12}\n"
+
+    def test_m_max_cap_itself_is_accepted(self, capsys):
+        # every index vanishes by divisibility at this degree: nothing is swept
+        code, out, _ = run(capsys, "census", "--d", str(10**11), "--m-max", str(MAX_M))
+        assert code == EXIT_OK
+        assert out.splitlines()[-1] == (
+            f"# d={10**11}: zeros={MAX_M + 1} explained={MAX_M + 1} unexplained=0")
+
+    def test_compute_has_no_combinatorial_method(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["compute", "--d", "2", "--m-max", "5", "--method", "combinatorial"])
+        assert excinfo.value.code == EXIT_USAGE
+        capsys.readouterr()
 
     def test_missing_m_max_exits_2(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
