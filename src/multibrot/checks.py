@@ -27,11 +27,12 @@ predicate over exactly computed coefficients and returns a ``Verdict``:
 All comparisons are exact; a zero coefficient attains -inf, which
 satisfies every bound and never counts as equality against a finite one.
 
-``CHECKS`` is the one place that declares at which (d, m) each check
-applies and whether it reads fully computed coefficients;
-``suite_verdicts`` reads it through ``applicable`` and fills its table
-from it before any check runs, and every ``check_*`` function raises
-``ValueError`` where it says the check does not apply.
+Every ``check_*`` function judges the one coefficient value it is
+passed and computes none.  ``CHECKS`` is the one place that declares at
+which (d, m) each check applies and whether it reads fully computed
+coefficients; ``suite_verdicts`` reads it through ``applicable`` and
+fills its table from it before any check runs, and every ``check_*``
+function raises ``ValueError`` where it says the check does not apply.
 """
 
 from __future__ import annotations
@@ -94,20 +95,15 @@ def _bound_verdict(check, d, m, p, bound, attained, equality_predicted=None):
     )
 
 
-def _table(table):
-    return table if table is not None else CoeffTable()
-
-
 def _require(name, d, m):
     if not CHECKS[name].applies(d, m):
         raise ValueError(f"check {name!r} does not apply at d={d}, m={m}")
 
 
-def check_main(d: int, m: int, table: CoeffTable | None = None) -> list[Verdict]:
+def check_main(d: int, m: int, value) -> list[Verdict]:
     """One verdict per prime factor of d; requires (d-1) | (m+1)."""
     _require("main", d, m)
     a = (m + 1) // (d - 1)
-    value = _table(table).value(d, m)
     verdicts = []
     for p, t in factorize(d):
         bound = factorial_valuation(a, p) + t * a
@@ -117,32 +113,28 @@ def check_main(d: int, m: int, table: CoeffTable | None = None) -> list[Verdict]
     return verdicts
 
 
-def check_zagier(m: int, table: CoeffTable | None = None) -> Verdict:
-    value = _table(table).value(2, m)
+def check_zagier(m: int, value) -> Verdict:
     bound = factorial_valuation(2 * m + 2, 2)
     attained = denominator_exponent(value, 2)
     equality_predicted = m == 0 or m % 2 == 1
     return _bound_verdict("zagier", 2, m, 2, bound, attained, equality_predicted)
 
 
-def check_ewing_schober(m: int, table: CoeffTable | None = None) -> Verdict:
-    value = _table(table).value(2, m)
+def check_ewing_schober(m: int, value) -> Verdict:
     attained = denominator_exponent(value, 2)
     return _bound_verdict("ewing-schober", 2, m, 2, 2 * m + 1, attained)
 
 
-def check_levin(m: int, table: CoeffTable | None = None) -> Verdict:
+def check_levin(m: int, value) -> Verdict:
     _require("levin", 2, m)
-    value = _table(table).value(2, m)
     bound = factorial_valuation(2 * m + 2, 2)
     attained = denominator_exponent(value, 2)
     return _bound_verdict("levin", 2, m, 2, bound, attained, equality_predicted=True)
 
 
-def check_yamashita(p: int, m: int, table: CoeffTable | None = None) -> Verdict:
+def check_yamashita(p: int, m: int, value) -> Verdict:
     """Prime-degree bound in floor form, checked against the additive form."""
     _require("yamashita", p, m)
-    value = _table(table).value(p, m)
     attained = denominator_exponent(value, p)
     if vanishes_by_divisibility(p, m):
         return _bound_verdict("yamashita", p, m, p, NEG_INF, attained, equality_predicted=True)
@@ -156,28 +148,24 @@ def check_yamashita(p: int, m: int, table: CoeffTable | None = None) -> Verdict:
     return verdict
 
 
-def check_vanishing(d: int, m: int, table: CoeffTable | None = None) -> Verdict:
+def check_vanishing(d: int, m: int, value) -> Verdict:
     """Full computation (shortcut disabled) must return exactly zero.
 
-    The pair is filled as a ``full`` pair of ``CoeffTable.fill``, so a
-    missing, shortcut or cached record is replaced by a sweep record;
-    otherwise the check would be vacuous.  Without a table that sweeps
-    every index up to m.
+    ``value`` must come from a full computation, such as a record that
+    ``CoeffTable.fill`` trusts for a ``full`` pair (as ``suite_verdicts``
+    passes it) or ``coefficient_by_residue``; a shortcut or cached value
+    would make the check vacuous.
     """
     _require("vanishing", d, m)
-    table = _table(table)
-    table.fill((), full=[(d, m)])
-    value = table.value(d, m)
     p_smallest = factorize(d)[0][0]
     attained = denominator_exponent(value, p_smallest)
     return _bound_verdict("vanishing", d, m, None, NEG_INF, attained, equality_predicted=True)
 
 
-def check_integrality(d: int, m: int, table: CoeffTable | None = None) -> Verdict:
+def check_integrality(d: int, m: int, value) -> Verdict:
     """value * d^x integral for the ceiling exponent x derived from the main bound."""
     _require("integrality", d, m)
     a = (m + 1) // (d - 1)
-    value = _table(table).value(d, m)
     factors = factorize(d)
     bound = max(-(-(factorial_valuation(a, p) + t * a) // t) for p, t in factors)
     # smallest e >= 0 with value * d^e integral; +inf if no power of d clears it
@@ -189,9 +177,9 @@ def check_integrality(d: int, m: int, table: CoeffTable | None = None) -> Verdic
     return _bound_verdict("integrality", d, m, None, bound, attained)
 
 
-def check_dadic(d: int, m: int, table: CoeffTable | None = None) -> Verdict:
+def check_dadic(d: int, m: int, value) -> Verdict:
     """Every prime factor of the denominator divides d."""
-    passed = is_d_adic(_table(table).value(d, m).denominator, d)
+    passed = is_d_adic(value.denominator, d)
     return Verdict("dadic", d, m, None, None, None, None, None, passed)
 
 
@@ -201,14 +189,14 @@ def _sort_key(v: Verdict):
 
 @dataclass(frozen=True)
 class Check:
-    """Where a check applies, and its verdicts at one (d, m).
+    """Where a check applies, and its verdicts on the value at one (d, m).
 
     ``full`` checks need their coefficients computed without the
     vanishing shortcut, so ``suite_verdicts`` computes those pairs in full.
     """
 
     applies: Callable[[int, int], bool]
-    verdicts: Callable[[int, int, CoeffTable | None], list[Verdict]]
+    verdicts: Callable[[int, int, object], list[Verdict]]
     full: bool = False
 
 
@@ -218,17 +206,17 @@ def _divisible(d, m):
 
 CHECKS = {
     "main": Check(_divisible, check_main),
-    "zagier": Check(lambda d, m: d == 2, lambda d, m, t: [check_zagier(m, t)]),
-    "ewing-schober": Check(lambda d, m: d == 2, lambda d, m, t: [check_ewing_schober(m, t)]),
-    "levin": Check(lambda d, m: d == 2 and m % 2 == 1, lambda d, m, t: [check_levin(m, t)]),
-    "yamashita": Check(lambda d, m: is_prime(d), lambda d, m, t: [check_yamashita(d, m, t)]),
+    "zagier": Check(lambda d, m: d == 2, lambda d, m, v: [check_zagier(m, v)]),
+    "ewing-schober": Check(lambda d, m: d == 2, lambda d, m, v: [check_ewing_schober(m, v)]),
+    "levin": Check(lambda d, m: d == 2 and m % 2 == 1, lambda d, m, v: [check_levin(m, v)]),
+    "yamashita": Check(lambda d, m: is_prime(d), lambda d, m, v: [check_yamashita(d, m, v)]),
     "vanishing": Check(
         lambda d, m: m >= 1 and vanishes_by_divisibility(d, m),
-        lambda d, m, t: [check_vanishing(d, m, t)],
+        lambda d, m, v: [check_vanishing(d, m, v)],
         full=True,
     ),
-    "integrality": Check(_divisible, lambda d, m, t: [check_integrality(d, m, t)]),
-    "dadic": Check(lambda d, m: True, lambda d, m, t: [check_dadic(d, m, t)]),
+    "integrality": Check(_divisible, lambda d, m, v: [check_integrality(d, m, v)]),
+    "dadic": Check(lambda d, m: True, lambda d, m, v: [check_dadic(d, m, v)]),
 }
 CHECK_NAMES = tuple(CHECKS)
 
@@ -257,14 +245,16 @@ def suite_verdicts(
 
     The table is filled first, by ``CoeffTable.fill``: the pairs of
     ``full`` checks are computed anew, the others only where missing.
+    Each check is then passed the table's value at its (d, m).
     """
-    table = _table(table)
+    if table is None:
+        table = CoeffTable()
     todo = list(applicable(degrees, m_max, checks))
     table.fill([(d, m) for name, d, m in todo if not CHECKS[name].full],
                full=[(d, m) for name, d, m in todo if CHECKS[name].full])
     verdicts: list[Verdict] = []
     for name, d, m in todo:
-        verdicts.extend(CHECKS[name].verdicts(d, m, table))
+        verdicts.extend(CHECKS[name].verdicts(d, m, table.value(d, m)))
     verdicts.sort(key=_sort_key)
     return verdicts
 

@@ -9,8 +9,9 @@ Every command runs in one process.  ``compute``, ``verify`` and
 ``census`` fill their tables with one column sweep per degree
 (``CoeffTable.fill``, run by ``compute`` itself and by the library's
 ``suite_verdicts`` and ``zero_census``); ``bench`` and the partition-sum
-pass of ``compute`` add one per-index record at a time.  ``--threads`` is
-accepted and validated for compatibility but changes nothing.
+pass of ``compute --method both`` call the per-index routes directly, one
+index at a time, and keep their records out of any table.  ``--threads``
+is accepted and validated for compatibility but changes nothing.
 
 Exit codes: 0 success, 1 verification failure or method disagreement,
 2 usage error, 3 I/O error, malformed table or out of memory.
@@ -171,16 +172,6 @@ def normalize_args(args: argparse.Namespace) -> None:
 
 
 # ----------------------------------------------------------------------
-# coefficient computation
-
-
-def _fill_per_index(table, pairs, method):
-    """Add the record of each (d, m) pair by the per-index ``method``."""
-    for d, m in pairs:
-        table.add(laurent_coefficient(d, m, method=method))
-
-
-# ----------------------------------------------------------------------
 # subcommands
 
 
@@ -210,10 +201,9 @@ def cmd_compute(args) -> int:
     table = CoeffTable()
     table.fill(pairs)
     if args.method == "both":
-        oracle = CoeffTable()
-        _fill_per_index(oracle, pairs, METHOD_COMBINATORIAL)
         for d, m in pairs:
-            a, b = table.value(d, m), oracle.value(d, m)
+            a = table.value(d, m)
+            b = laurent_coefficient(d, m, method=METHOD_COMBINATORIAL).value
             if a != b:
                 print(f"multibrot: method disagreement at d={d}, m={m}: "
                       f"{METHOD_SWEEP}={a}, combinatorial={b}", file=sys.stderr)
@@ -256,17 +246,17 @@ def cmd_census(args) -> int:
     summaries = []
     for d in args.d:
         zeros = zero_census(d, args.m_max)
-        for m, explained in zeros:
-            if args.output == "csv":
-                lines.append(f"{d},{m},{'true' if explained else 'false'}")
-            else:
-                lines.append(json.dumps(
-                    {"d": d, "m": m, "explained": explained}, sort_keys=True))
-        explained_count = sum(1 for _, e in zeros if e)
-        summaries.append(
-            f"# d={d}: zeros={len(zeros)} explained={explained_count} "
-            f"unexplained={len(zeros) - explained_count}"
-        )
+        explained = sum(1 for _, e in zeros if e)
+        counts = {"d": d, "zeros": len(zeros), "explained_zeros": explained,
+                  "unexplained_zeros": len(zeros) - explained}
+        if args.output == "csv":
+            lines += [f"{d},{m},{'true' if e else 'false'}" for m, e in zeros]
+            summaries.append("# d={d}: zeros={zeros} explained={explained_zeros} "
+                             "unexplained={unexplained_zeros}".format(**counts))
+        else:
+            lines += [json.dumps({"d": d, "m": m, "explained": e}, sort_keys=True)
+                      for m, e in zeros]
+            summaries.append(json.dumps(counts))
     text = "\n".join(lines + summaries) + "\n"
     sys.stdout.write(text)
     return EXIT_OK
@@ -274,11 +264,9 @@ def cmd_census(args) -> int:
 
 def _bench_one(args, method: str):
     pairs = [(d, m) for d in args.d for m in range(args.m_max + 1)]
-    table = CoeffTable()
     start = time.perf_counter()
-    _fill_per_index(table, pairs, method)
+    records = [laurent_coefficient(d, m, method=method) for d, m in pairs]
     elapsed = time.perf_counter() - start
-    records = table.records_sorted()
     peak_bits = 0
     for rec in records:
         peak_bits = max(peak_bits,

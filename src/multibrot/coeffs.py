@@ -259,11 +259,12 @@ def laurent_coefficient(d: int, m: int, *, method: str = METHOD_RESIDUE) -> Coef
 
 
 class CoeffTable:
-    """Memoizing coefficient store keyed by (d, m).
+    """Coefficient store keyed by (d, m).
 
-    ``fill`` is how bulk readers get their coefficients: one column sweep
-    per degree.  ``record`` computes a single missing index by the
-    residue route, which costs a fraction of a sweep to the same m.
+    ``fill`` is the only way the table computes a record: one column sweep
+    per degree.  ``value`` is a lookup and raises ``KeyError`` for a pair
+    the table does not hold; one index on its own costs less by
+    ``coefficient_by_residue``, outside any table.
     """
 
     def __init__(self):
@@ -306,16 +307,8 @@ class CoeffTable:
                 if (d, m) in wanted:
                     self._records[(d, m)] = CoeffRecord(d, m, value, METHOD_SWEEP)
 
-    def record(self, d: int, m: int) -> CoeffRecord:
-        key = (d, m)
-        rec = self._records.get(key)
-        if rec is None:
-            rec = laurent_coefficient(d, m)
-            self._records[key] = rec
-        return rec
-
     def value(self, d: int, m: int):
-        return self.record(d, m).value
+        return self._records[(d, m)].value
 
     def records_sorted(self) -> list[CoeffRecord]:
         return [self._records[k] for k in sorted(self._records)]

@@ -122,18 +122,19 @@ def test_criterion_02_oracle_equivalence():
 
 def test_criterion_03_zagier_observation(table):
     start = time.perf_counter()
-    bad = [m for m in range(M_MAX + 1) if not check_zagier(m, table).passed]
+    bad = [m for m in range(M_MAX + 1) if not check_zagier(m, table.value(2, m)).passed]
     detail = f"m<={M_MAX}, {time.perf_counter() - start:.1f}s"
     assert _criterion(3, "Zagier bound + equality biconditional", not bad, detail), bad
 
 
 def test_criterion_04_ewing_schober_bound(table):
-    bad = [m for m in range(M_MAX + 1) if not check_ewing_schober(m, table).passed]
+    bad = [m for m in range(M_MAX + 1)
+           if not check_ewing_schober(m, table.value(2, m)).passed]
     assert _criterion(4, "Ewing-Schober 2m+1 bound", not bad, f"m<={M_MAX}"), bad
 
 
 def test_criterion_05_levin_equality(table):
-    bad = [m for m in range(1, M_MAX + 1, 2) if not check_levin(m, table).passed]
+    bad = [m for m in range(1, M_MAX + 1, 2) if not check_levin(m, table.value(2, m)).passed]
     assert _criterion(5, "Levin equality at odd m", not bad, f"odd m<={M_MAX}"), bad
 
 
@@ -148,9 +149,14 @@ def test_criterion_06_main_bound(table):
     assert _criterion(6, "main bound + equality biconditional", ok, detail), failures[:5]
 
 
+def _ensure_prime_degree_pairs(t):
+    t.fill([(p, m) for p in (2, 3, 5) for m in range(M_SUBSET + 1)])
+
+
 def test_criterion_07_yamashita_consistency(table):
     # faithful to the stated criterion; see the module docstring for why
     # this fails and what the corrected relationship is
+    _ensure_prime_degree_pairs(table)
     form_gaps = []
     verdict_gaps = []
     for p in (2, 3, 5):
@@ -162,8 +168,8 @@ def test_criterion_07_yamashita_consistency(table):
             additive_form = a + factorial_valuation(a, p)
             if floor_form != additive_form:
                 form_gaps.append((p, m, floor_form, additive_form))
-            ya = check_yamashita(p, m, table)
-            (main,) = check_main(p, m, table)
+            ya = check_yamashita(p, m, table.value(p, m))
+            (main,) = check_main(p, m, table.value(p, m))
             if (ya.bound, ya.attained, ya.equality_predicted, ya.passed) != (
                 main.bound,
                 main.attained,
@@ -187,6 +193,7 @@ def test_corrected_prime_degree_relationship(table):
     # what exact arithmetic actually supports: the floor form dominates the
     # additive form (so it is a valid, weaker bound), the two coincide for
     # p = 2, and nu_p((p*a)!) = a + nu_p(a!) is the exact floor-free identity
+    _ensure_prime_degree_pairs(table)
     for p in (2, 3, 5):
         for m in range(M_SUBSET + 1):
             if (m + 1) % (p - 1) != 0:
@@ -198,10 +205,10 @@ def test_corrected_prime_degree_relationship(table):
             assert additive_form == factorial_valuation(p * a, p)
             if p == 2:
                 assert floor_form == additive_form
-                ya = check_yamashita(p, m, table)
+                ya = check_yamashita(p, m, table.value(p, m))
                 assert ya.passed
             # the bound itself (not its equality clause) always holds
-            ya = check_yamashita(p, m, table)
+            ya = check_yamashita(p, m, table.value(p, m))
             assert ya.attained <= ya.bound
 
 
@@ -212,7 +219,7 @@ def test_criterion_08_vanishing_by_full_computation():
     for d in (3, 4, 5):
         candidates = [m for m in range(1, M_SUBSET + 1) if (m + 1) % (d - 1) != 0]
         for m in sorted(rng.sample(candidates, 30)):
-            if not check_vanishing(d, m).passed:
+            if not check_vanishing(d, m, coefficient_by_residue(d, m)).passed:
                 failures.append((d, m))
     ok = not failures
     detail = f"30 indices per degree, {time.perf_counter() - start:.1f}s"
@@ -225,7 +232,7 @@ def test_criterion_09_integrality(table):
     for rec in table.records_sorted():
         if (rec.m + 1) % (rec.d - 1) != 0:
             continue
-        if not check_integrality(rec.d, rec.m, table).passed:
+        if not check_integrality(rec.d, rec.m, rec.value).passed:
             failures.append((rec.d, rec.m))
     count = sum(1 for rec in table.records_sorted() if (rec.m + 1) % (rec.d - 1) == 0)
     assert _criterion(9, "b * d^x(m) is an integer", not failures,
@@ -308,13 +315,14 @@ def test_full_range_sweep_m1000(degree_two_table_m1000):
         t.add(CoeffRecord(d, m, value, "cached"))
     bad = []
     for m in range(1001):
-        if not check_zagier(m, t).passed:
+        value = t.value(2, m)
+        if not check_zagier(m, value).passed:
             bad.append(("zagier", m))
-        if not check_ewing_schober(m, t).passed:
+        if not check_ewing_schober(m, value).passed:
             bad.append(("ewing-schober", m))
-        if m % 2 == 1 and not check_levin(m, t).passed:
+        if m % 2 == 1 and not check_levin(m, value).passed:
             bad.append(("levin", m))
-        if not check_integrality(2, m, t).passed:
+        if not check_integrality(2, m, value).passed:
             bad.append(("integrality", m))
     detail = f"m<=1000, {time.perf_counter() - start:.0f}s"
     assert _criterion(3, "full-range Zagier/Ewing-Schober/Levin/integrality",

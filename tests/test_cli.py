@@ -237,8 +237,8 @@ class TestVerify:
                 return real(d, m, **kwargs)
             return wrapper
 
-        # CoeffTable.record computes through coeffs.laurent_coefficient, which
-        # reaches the per-index residue route
+        # a value computed outside the table would come from one of the
+        # per-index routes
         for name in ("laurent_coefficient", "coefficient_by_residue"):
             monkeypatch.setattr(coeffs_mod, name, counting(getattr(coeffs_mod, name)))
         real_suite = cli_mod.suite_verdicts
@@ -347,6 +347,17 @@ class TestCensus:
                            "--threads", "1", "--output", "json-lines")
         assert code == EXIT_OK
         assert json.loads(out.splitlines()[0]) == {"d": 2, "explained": False, "m": 4}
+
+    def test_json_lines_summaries_are_json(self, capsys):
+        code, out, _ = run(capsys, "census", "--d", "2,3", "--m-max", "10",
+                           "--threads", "1", "--output", "json-lines")
+        assert code == EXIT_OK
+        rows = [json.loads(line) for line in out.splitlines()]
+        assert rows[-2:] == [
+            {"d": 2, "zeros": 2, "explained_zeros": 0, "unexplained_zeros": 2},
+            {"d": 3, "zeros": 8, "explained_zeros": 6, "unexplained_zeros": 2},
+        ]
+        assert len(rows) == 2 + 8 + 2
 
 
 class TestBench:
