@@ -25,7 +25,6 @@ from __future__ import annotations
 import hashlib
 import sys
 from contextlib import contextmanager
-from math import gcd
 
 from .exact import MAX_DEGREE, is_d_adic, rational
 
@@ -140,7 +139,8 @@ def parse_table(text: str) -> list[tuple[int, int, object]]:
             raise CacheFormatError(f"line {offset}: invalid indices d={d}, m={m}")
         if den <= 0:
             raise CacheFormatError(f"line {offset}: denominator must be positive")
-        if gcd(abs(num), den) != 1:
+        value = rational(num, den)
+        if value.denominator != den:
             raise CacheFormatError(f"line {offset}: {num}/{den} is not in lowest terms")
         if not is_d_adic(den, d):
             raise CacheFormatError(
@@ -150,7 +150,7 @@ def parse_table(text: str) -> list[tuple[int, int, object]]:
         if previous_key is not None and key <= previous_key:
             raise CacheFormatError(f"line {offset}: records not sorted by (d, m)")
         previous_key = key
-        triples.append((d, m, rational(num, den)))
+        triples.append((d, m, value))
     return triples
 
 

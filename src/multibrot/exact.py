@@ -191,6 +191,12 @@ def _trial_division(d: int) -> tuple[tuple[int, int], ...]:
     return tuple(factors)
 
 
+@functools.lru_cache(maxsize=1024, typed=True)
+def _radical(d: int) -> int:
+    # typed, so that a float d misses the int's entry and factorize rejects it
+    return math.prod(p for p, _ in factorize(d))
+
+
 def is_d_adic(den: int, d: int) -> bool:
     """Whether every prime factor of the positive integer den divides d.
 
@@ -198,8 +204,7 @@ def is_d_adic(den: int, d: int) -> bool:
     primes and e at least every exponent in den; den's bit length is
     such an e, so one modular power decides it however large den is.
     """
-    rad = math.prod(p for p, _ in factorize(d))
-    return pow(rad, den.bit_length(), den) == 0
+    return pow(_radical(d), den.bit_length(), den) == 0
 
 
 def binomial_general(a, j: int):

@@ -107,6 +107,11 @@ def test_missing_checksum_line_rejected():
 def test_non_lowest_terms_rejected():
     with pytest.raises(CacheFormatError, match="lowest terms"):
         parse_table(_with_payload(["2,1,2,16"]))
+    # zero is lowest only over 1; a negative numerator shares factors too
+    for num, den in ((0, 3), (-2, 4)):
+        with pytest.raises(CacheFormatError,
+                           match=f"^line 3: {num}/{den} is not in lowest terms$"):
+            parse_table(_with_payload(["2,0,-1,2", f"2,1,{num},{den}"]))
 
 
 def test_non_positive_denominator_rejected():

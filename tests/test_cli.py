@@ -1,9 +1,14 @@
+import argparse
 import hashlib
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import multibrot
 from multibrot import cache, exact
 from multibrot.cli import (
     EXIT_IO,
@@ -507,3 +512,57 @@ class TestUsageErrors:
             main(["frobnicate"])
         assert excinfo.value.code == EXIT_USAGE
         capsys.readouterr()
+
+
+class TestParserReuse:
+    """``main`` builds its parser once per process; later calls share it."""
+
+    SEQUENCE = [
+        ["compute", "--d", "3", "--d", "4,5", "--m-max", "6"],
+        ["compute", "--m-max", "6"],
+        ["compute", "--m-max", "-1"],
+        ["frobnicate"],
+        ["verify", "--d", "3", "--m-max", "8", "--checks", "main"],
+        ["census", "--d", "4", "--m-max", "12", "--output", "json-lines"],
+    ]
+
+    @staticmethod
+    def in_process(capsys, argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        return code, capsys.readouterr().out.encode("utf-8")
+
+    @staticmethod
+    def fresh_process(argv):
+        env = dict(os.environ, PYTHONPATH=str(Path(multibrot.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-m", "multibrot", *argv],
+                              capture_output=True, env=env, timeout=120)
+        return proc.returncode, proc.stdout
+
+    def test_calls_in_one_process_match_fresh_processes(self, capsys):
+        results = [self.in_process(capsys, argv) for argv in self.SEQUENCE]
+        assert [code for code, _ in results] == [EXIT_OK, EXIT_OK, EXIT_USAGE,
+                                                 EXIT_USAGE, EXIT_OK, EXIT_OK]
+        # the second call defaults to d = 2: no degree list leaks from the first
+        assert {line.split(b",")[0] for line in results[1][1].splitlines()[1:-1]} == {b"2"}
+        for argv, result in zip(self.SEQUENCE, results):
+            assert result == self.fresh_process(argv), argv
+
+    def test_later_calls_construct_no_parser(self, capsys, monkeypatch):
+        run(capsys, "compute", "--d", "2", "--m-max", "1")
+        made = []
+        real_init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            made.append(kwargs.get("prog"))
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        for argv in (["compute", "--d", "2", "--m-max", "3"],
+                     ["verify", "--d", "3", "--m-max", "3"],
+                     ["census", "--d", "2", "--m-max", "3"]):
+            code, out, _ = run(capsys, *argv)
+            assert code == EXIT_OK and out, argv
+        assert made == []
