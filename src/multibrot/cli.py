@@ -3,14 +3,16 @@
 Subcommands: ``compute`` (coefficient tables), ``verify`` (bound checks
 with a machine-readable report), ``census`` (zero coefficients and
 whether the divisibility criterion explains them), and ``bench``
-(timings of the per-index routes plus cross-method correctness hashes).
+(timings of the per-index routes or of the sweep, plus cross-method
+correctness hashes).
 
 Every command runs in one process.  ``compute``, ``verify`` and
 ``census`` fill their tables with one column sweep per degree
 (``CoeffTable.fill``, run by ``compute`` itself and by the library's
-``suite_verdicts`` and ``zero_census``); ``bench`` and the partition-sum
-pass of ``compute --method both`` call the per-index routes directly, one
-index at a time, and keep their records out of any table.  ``--threads``
+``suite_verdicts`` and ``zero_census``), as does ``bench --method sweep``;
+``bench``'s other methods and the partition-sum pass of ``compute
+--method both`` call the per-index routes directly, one index at a time,
+and keep their records out of any table.  ``--threads``
 is accepted and validated for compatibility but changes nothing.
 
 ``main`` builds its parser once per process, on its first call; every
@@ -47,7 +49,7 @@ from .coeffs import (
 from .exact import MAX_DEGREE
 
 # Largest --m-max any command accepts: a d=2 sweep to m=5000 is projected
-# at about 20 minutes (46 s at m=2000, growing about as m^3.6), and the
+# at about 12 minutes (25 s at m=2000, growing about as m^3.7), and the
 # pair list is built before any work.
 MAX_M = 10**5
 
@@ -154,9 +156,9 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_census)
     p_census.add_argument("--output", choices=("csv", "json-lines"), default="csv")
 
-    p_bench = sub.add_parser("bench", help="time both methods; hashes double as "
-                                           "correctness checks")
-    common(p_bench, methods=(METHOD_RESIDUE, METHOD_COMBINATORIAL, "both"),
+    p_bench = sub.add_parser("bench", help="time the per-index routes or the sweep; "
+                                           "hashes double as correctness checks")
+    common(p_bench, methods=(METHOD_RESIDUE, METHOD_COMBINATORIAL, METHOD_SWEEP, "both"),
            method_default="both")
 
     return parser
@@ -273,7 +275,12 @@ def cmd_census(args) -> int:
 def _bench_one(args, method: str):
     pairs = [(d, m) for d in args.d for m in range(args.m_max + 1)]
     start = time.perf_counter()
-    records = [laurent_coefficient(d, m, method=method) for d, m in pairs]
+    if method == METHOD_SWEEP:
+        table = CoeffTable()
+        table.fill(pairs)
+        records = table.records_sorted()
+    else:
+        records = [laurent_coefficient(d, m, method=method) for d, m in pairs]
     elapsed = time.perf_counter() - start
     peak_bits = 0
     for rec in records:

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul
 
 from .exact import ZERO, rational
 from .series import iterate_parameter_polynomial, rational_power_tail
@@ -180,20 +181,35 @@ def coefficients_by_sweep(d: int, m_max: int) -> list:
         1 + B_{k+1}(x) = (1 + B_k(x))^d + x^(d^(k+1) - 1) (1 + B_0(x)),
 
     and beta_{k,j} = 0 for 1 <= j <= d^(k+1) - 2.  Column j is swept at
-    every level k below k* = choose_n(d, j - 1) (and k* = 1 for j = 1):
-    H_{k,j} = [x^j](1 + B_k)^d comes from J.C.P. Miller's power recurrence
+    every level k below k* = choose_n(d, j - 1) (and k* = 1 for j = 1).
+    H_{k,j} = [x^j](1 + B_k)^d is d beta_{k,j} plus terms of earlier
+    columns, so the unknown b_{j-1} enters beta_{k,j} as d^k b_{j-1} plus
+    terms of earlier columns, and the zero at level k* solves for it.
 
-        j H_{k,j} = sum_{i=1..j} ((d+1) i - j) beta_{k,i} H_{k,j-i},
+    For d = 2 the square is formed directly, the recurrence of Ewing and
+    Schober (The areas of Mandelbrot and Julia sets, Numer. Math. 61,
+    1992): with lo = 2^(k+1) - 1,
 
-    whose i = j term is d j beta_{k,j}.  The unknown b_{j-1} therefore
-    enters beta_{k,j} as d^k b_{j-1} plus terms of earlier columns, and
-    the zero at level k* solves for it.  Column j is stored times S^j, with
-    S = 4 for d = 2 and S = d otherwise; the main bound makes every
-    stored value an integer, and a product of columns i and j - i lands
-    on scale S^j.  The only divisions are by j and by d^k*; a remainder
-    raises ``ArithmeticError``.  Columns are computed in full, without
-    the vanishing shortcut; terms are skipped only where level k is
-    zero by the recurrence above.
+        beta_{k+1,j} = 2 beta_{k,j} + sum_{i=lo..j-lo} beta_{k,i} beta_{k,j-i}
+                       + beta_{0,j-lo},
+
+    the sum taken by symmetry, twice each product with i < j/2 plus the
+    diagonal term when j is even.  For d >= 3, J.C.P. Miller's power
+    recurrence
+
+        j H_{k,j} = sum_{i=1..j} ((d+1) i - j) beta_{k,i} H_{k,j-i}
+
+    (whose i = j term is d j beta_{k,j}) costs one convolution per level,
+    where building (1 + B_k)^d from squares would cost more; it keeps a
+    row of H per level.
+
+    Column j is stored times S^j, with S = 4 for d = 2 and S = d
+    otherwise; the main bound makes every stored value an integer, and a
+    product of columns i and j - i lands on scale S^j.  The only
+    divisions are by d^k* and, for d >= 3, by j; a remainder raises
+    ``ArithmeticError``.  Columns are computed in full, without the
+    vanishing shortcut; terms are skipped only where level k is zero by
+    the recurrence above.
     """
     if d < 2:
         raise ValueError("degree d must be >= 2")
@@ -207,7 +223,23 @@ def coefficients_by_sweep(d: int, m_max: int) -> list:
     # an offset past the last column is never read, and S^offset can be huge
     lifts = [scale**offset if offset <= top else None for offset in offsets]
     beta = [[1] + [0] * top for _ in range(levels)]
-    power = [[1] + [0] * top for _ in range(levels)]
+    if d == 2:
+        power = None
+
+        def rest(k, j, lo):  # [x^j](1 + B_k)^2 - 2 beta_{k,j}
+            row = beta[k]
+            r = 2 * sum(map(mul, row[lo:(j + 1) // 2], row[j - lo:j // 2:-1]))
+            return r + row[j // 2] ** 2 if j % 2 == 0 and j >= 2 * lo else r
+    else:
+        power = [[1] + [0] * top for _ in range(levels)]
+
+        def rest(k, j, lo):  # H_{k,j} - d beta_{k,j}
+            row_b, row_h = beta[k], power[k]
+            r, rem = divmod(sum(((d + 1) * i - j) * row_b[i] * row_h[j - i]
+                                for i in range(lo, j - lo + 1)), j)
+            if rem:
+                raise ArithmeticError(f"column {j}, level {k}: inexact division by {j}")
+            return r
     k_star = 1
     for j in range(1, top + 1):
         if j > d ** (k_star + 1) - 2:
@@ -215,11 +247,8 @@ def coefficients_by_sweep(d: int, m_max: int) -> list:
         # beta_{k,j} - d^k b_{j-1} and H_{k,j} - d beta_{k,j}, per level
         provisional, rests, p = [], [], 0
         for k in range(k_star):
-            lo, row_b, row_h = offsets[k], beta[k], power[k]
-            r, rem = divmod(sum(((d + 1) * i - j) * row_b[i] * row_h[j - i]
-                                for i in range(lo, j - lo + 1)), j)
-            if rem:
-                raise ArithmeticError(f"column {j}, level {k}: inexact division by {j}")
+            lo = offsets[k]
+            r = rest(k, j, lo)
             provisional.append(p)
             rests.append(r)
             p = d * p + r + (beta[0][j - lo] * lifts[k] if j >= lo else 0)
@@ -228,7 +257,8 @@ def coefficients_by_sweep(d: int, m_max: int) -> list:
             raise ArithmeticError(f"column {j}: inexact division by {d}^{k_star}")
         for k in range(k_star):
             beta[k][j] = d**k * u + provisional[k]
-            power[k][j] = d * beta[k][j] + rests[k]
+            if power is not None:
+                power[k][j] = d * beta[k][j] + rests[k]
     return [rational(beta[0][j], scale**j) for j in range(1, top + 1)]
 
 

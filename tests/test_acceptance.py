@@ -331,7 +331,7 @@ def test_full_range_sweep_m1000(degree_two_table_m1000):
 
 @pytest.mark.slow
 def test_all_checks_to_m2000(capsys):
-    """Every check for d = 2..7 over m <= 2000, about 75 s on one core.
+    """Every check for d = 2..7 over m <= 2000, about 55 s on one core.
 
     Only the refuted Yamashita floor form fails (see criterion 07); the
     report's bytes are pinned so any other change in a verdict shows.

@@ -379,6 +379,21 @@ class TestBench:
             hashes |= {row[3] for row in rows}
         assert len(hashes) == 1
 
+    def test_sweep_row_hash_equals_residue_row(self, capsys):
+        hashes = []
+        for method in ("sweep", "residue"):
+            code, out, _ = run(capsys, "bench", "--d", "2,3", "--m-max", "80",
+                               "--method", method)
+            assert code == EXIT_OK
+            lines = out.splitlines()
+            assert lines[0] == "method,seconds,peak_coeff_bits,sha256"
+            (row,) = [line.split(",") for line in lines[1:]]
+            assert row[0] == method
+            assert row[2] == "159"
+            hashes.append(row[3])
+        assert hashes == [
+            "238188d3e6fec32ff419bc25b0b7e7b0774c4cb089b296827008ef34ebbb6bbf"] * 2
+
     def test_trivial_range(self, capsys):
         code, out, _ = run(capsys, "bench", "--d", "2", "--m-max", "0", "--threads", "1")
         assert code == EXIT_OK

@@ -212,6 +212,21 @@ class TestSweep:
         for m in range(997, 1001):
             assert values[m] == coefficient_by_residue(2, m), m
 
+    def test_degree_two_prefixes(self):
+        # every cut-off of the lifts and of the last column, and the k* steps
+        # at columns 3, 7, 15, 31 and 63
+        full = coefficients_by_sweep(2, 80)
+        for m_max in range(81):
+            assert coefficients_by_sweep(2, m_max) == full[:m_max + 1], m_max
+
+    def test_degree_two_equals_residue_route_at_level_boundaries(self):
+        # column j = m + 1: k* steps at j = 255 and 511, where level
+        # lo = 2^(k+1) - 1 = 255 and 511 is first swept, and the diagonal
+        # term of level lo = 127 and 255 first enters at j = 2 lo = 254 and 510
+        values = coefficients_by_sweep(2, 512)
+        for m in [*range(252, 257), *range(508, 513)]:
+            assert values[m] == coefficient_by_residue(2, m), m
+
     def test_huge_degree(self):
         # the lift S^(d-1) of level 0 is never read below m = d - 2
         assert coefficients_by_sweep(10**11, 3) == [0, 0, 0, 0]
@@ -370,17 +385,22 @@ class TestZeroCensus:
 
     @pytest.mark.slow
     def test_zeros_to_m2000(self):
-        # about 70 s on one core, 61 s of it the d = 2 sweep.  d = 2: the
-        # blocks have steps 4, 8, 16, 32, 64; each runs from its start s to
-        # 4s, and the next starts one (doubled) step after that, so the
-        # fifth block starts at 1920 + 64 = 1984.  d = 3: the odd zeros keep
+        # about 60 s on one core: the d = 2 sweep 25-30 s, the d = 3 sweep
+        # 9 s and the five residue calls 12 s.  d = 2: the blocks have steps
+        # 4, 8, 16, 32, 64; each runs from its start s to 4s, and the next
+        # starts one (doubled) step after that, so the fifth block starts
+        # at 1920 + 64 = 1984.  d = 3: the odd zeros keep
         # the step 54 from 405 to 1971.  Observed, not explained.
-        zeros = zero_census(2, 2000)
+        table = CoeffTable()
+        zeros = zero_census(2, 2000, table)
         assert zeros == [(m, False) for m in [*range(4, 17, 4), *range(24, 97, 8),
                                               *range(112, 449, 16), *range(480, 1921, 32),
                                               1984]]
         assert len(zeros) == 83
         assert [m for m, _ in zeros] == degree_two_zero_block_rule(2000)
+        # the residue route as the oracle at the far end, about 2 s a call
+        for m in [1984, *range(1997, 2001)]:
+            assert table.value(2, m) == coefficient_by_residue(2, m), m
         zeros = zero_census(3, 2000)
         assert [m for m, explained in zeros if explained] == list(range(0, 2001, 2))
         assert [m for m, explained in zeros if not explained] == [
