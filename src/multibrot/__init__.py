@@ -30,7 +30,6 @@ from .coeffs import (
     METHOD_SPECIAL,
     METHOD_SWEEP,
     CoeffRecord,
-    CoeffTable,
     choose_n,
     coefficient_by_partition_sum,
     coefficient_by_residue,
@@ -43,7 +42,6 @@ from .cache import (
     CacheChecksumError,
     CacheFormatError,
     load_coefficients,
-    store_coefficients,
 )
 from .checks import (
     CHECK_NAMES,
@@ -82,7 +80,6 @@ __all__ = [
     "METHOD_SPECIAL",
     "METHOD_SWEEP",
     "CoeffRecord",
-    "CoeffTable",
     "choose_n",
     "coefficient_by_partition_sum",
     "coefficient_by_residue",
@@ -93,7 +90,6 @@ __all__ = [
     "CacheChecksumError",
     "CacheFormatError",
     "load_coefficients",
-    "store_coefficients",
     "CHECK_NAMES",
     "Verdict",
     "check_dadic",

@@ -7,7 +7,10 @@ Text format, one record per line, bit-exact round-trip:
     ...
     #sha256:<hex>
 
-Integers are base 10, the denominator is positive and the fraction is in
+Integers are base 10, written as ``str`` writes an int (ASCII digits,
+a minus sign only on a negative numerator, no plus sign, leading zeros,
+underscores or spaces), so every record has one spelling and loading
+rejects any other; the denominator is positive and the fraction is in
 lowest terms, lines are sorted by (d, m), and the trailing checksum is
 the SHA-256 of the payload lines (each with its newline).  Loading
 rejects any line whose denominator has a prime factor not dividing d:
@@ -70,21 +73,15 @@ def checksummed_text(header: str, lines) -> str:
 
 
 def coefficient_line(d: int, m: int, value) -> str:
-    value = rational(value)
+    """The one spelling of a record; ``value`` is a rational or an int."""
     return f"{d},{m},{value.numerator},{value.denominator}"
 
 
-def _as_triple(record):
-    if hasattr(record, "d"):
-        return (record.d, record.m, record.value)
-    d, m, value = record
-    return (d, m, value)
-
-
 @unlimited_int_digits()
-def format_table(records) -> str:
-    """Render records as the full table text (header, payload, checksum)."""
-    triples = sorted((_as_triple(r) for r in records), key=lambda t: (t[0], t[1]))
+def format_table(rows) -> str:
+    """Render (d, m, value) triples as the full table text (header,
+    payload, checksum)."""
+    triples = sorted(rows, key=lambda t: (t[0], t[1]))
     for (d1, m1, v1), (d2, m2, v2) in zip(triples, triples[1:]):
         if (d1, m1) == (d2, m2) and v1 != v2:
             raise ValueError(f"conflicting values for (d={d1}, m={m1})")
@@ -96,13 +93,6 @@ def format_table(records) -> str:
         seen.add((d, m))
         lines.append(coefficient_line(d, m, value))
     return checksummed_text(HEADER, lines)
-
-
-def store_coefficients(path, records) -> None:
-    """Write records to path in the canonical table format."""
-    text = format_table(records)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
 
 
 @unlimited_int_digits()
@@ -142,6 +132,8 @@ def parse_table(text: str) -> list[tuple[int, int, object]]:
         value = rational(num, den)
         if value.denominator != den:
             raise CacheFormatError(f"line {offset}: {num}/{den} is not in lowest terms")
+        if line != coefficient_line(d, m, value):
+            raise CacheFormatError(f"line {offset}: fields not in canonical form")
         if not is_d_adic(den, d):
             raise CacheFormatError(
                 f"line {offset}: denominator {den} has a prime factor not dividing d={d}"

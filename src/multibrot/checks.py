@@ -31,7 +31,7 @@ Every ``check_*`` function judges the one coefficient value it is
 passed and computes none.  ``CHECKS`` is the one place that declares at
 which (d, m) each check applies and whether it reads fully computed
 coefficients; ``suite_verdicts`` reads it through ``applicable`` and
-fills its table from it before any check runs, and every ``check_*``
+sweeps each degree once before any check runs, and every ``check_*``
 function raises ``ValueError`` where it says the check does not apply.
 """
 
@@ -50,7 +50,8 @@ from .exact import (
     is_prime,
     padic_valuation,
 )
-from .coeffs import CoeffTable, vanishes_by_divisibility
+from . import coeffs
+from .coeffs import vanishes_by_divisibility
 
 REPORT_HEADER = "#multibrot-verdicts v1"
 
@@ -151,10 +152,10 @@ def check_yamashita(p: int, m: int, value) -> Verdict:
 def check_vanishing(d: int, m: int, value) -> Verdict:
     """Full computation (shortcut disabled) must return exactly zero.
 
-    ``value`` must come from a full computation, such as a record that
-    ``CoeffTable.fill`` trusts for a ``full`` pair (as ``suite_verdicts``
-    passes it) or ``coefficient_by_residue``; a shortcut or cached value
-    would make the check vacuous.
+    ``value`` must come from a full computation, such as the degree's
+    sweep (which ``suite_verdicts`` runs for every ``full`` pair, whatever
+    it was passed) or ``coefficient_by_residue``; a shortcut or cached
+    value would make the check vacuous.
     """
     _require("vanishing", d, m)
     p_smallest = factorize(d)[0][0]
@@ -234,27 +235,28 @@ def applicable(degrees, m_max: int, checks):
                     yield name, d, m
 
 
-def suite_verdicts(
-    degrees,
-    m_max: int,
-    checks,
-    table: CoeffTable | None = None,
-) -> list[Verdict]:
+def suite_verdicts(degrees, m_max: int, checks, cached=None) -> list[Verdict]:
     """Every applicable verdict for the requested checks, sorted by
     (check, d, m, p) so that two runs diff cleanly.
 
-    The table is filled first, by ``CoeffTable.fill``: the pairs of
-    ``full`` checks are computed anew, the others only where missing.
-    Each check is then passed the table's value at its (d, m).
+    ``cached`` maps (d, m) to a value that is judged as given, except at
+    the pairs of ``full`` checks: every check at such a pair reads the
+    value computed anew.  Each degree is swept once, up to the largest
+    index that the cache does not cover or that a full pair needs.
     """
-    if table is None:
-        table = CoeffTable()
     todo = list(applicable(degrees, m_max, checks))
-    table.fill([(d, m) for name, d, m in todo if not CHECKS[name].full],
-               full=[(d, m) for name, d, m in todo if CHECKS[name].full])
+    full = {(d, m) for name, d, m in todo if CHECKS[name].full}
+    kept = {key: value for key, value in (cached or {}).items() if key not in full}
+    tops = {}
+    for _, d, m in todo:
+        if (d, m) not in kept:
+            tops[d] = max(tops.get(d, 0), m)
+    values = {(d, m): value for d, top in sorted(tops.items())
+              for m, value in enumerate(coeffs.coefficients_by_sweep(d, top))}
+    values.update(kept)
     verdicts: list[Verdict] = []
     for name, d, m in todo:
-        verdicts.extend(CHECKS[name].verdicts(d, m, table.value(d, m)))
+        verdicts.extend(CHECKS[name].verdicts(d, m, values[d, m]))
     verdicts.sort(key=_sort_key)
     return verdicts
 

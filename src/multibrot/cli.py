@@ -7,13 +7,12 @@ whether the divisibility criterion explains them), and ``bench``
 correctness hashes).
 
 Every command runs in one process.  ``compute``, ``verify`` and
-``census`` fill their tables with one column sweep per degree
-(``CoeffTable.fill``, run by ``compute`` itself and by the library's
-``suite_verdicts`` and ``zero_census``), as does ``bench --method sweep``;
-``bench``'s other methods and the partition-sum pass of ``compute
---method both`` call the per-index routes directly, one index at a time,
-and keep their records out of any table.  ``--threads``
-is accepted and validated for compatibility but changes nothing.
+``census`` read their values from one ``coefficients_by_sweep`` per
+degree (run by ``compute`` itself and by the library's ``suite_verdicts``
+and ``zero_census``), as does ``bench --method sweep``; ``bench``'s other
+methods and the partition-sum pass of ``compute --method both`` call the
+per-index routes directly, one index at a time.  ``--threads`` is
+accepted and validated for compatibility but changes nothing.
 
 ``main`` builds its parser once per process, on its first call; every
 later in-process call (a test suite, a library loop over ``main``) shares
@@ -35,14 +34,12 @@ import time
 from collections import Counter
 from pathlib import Path
 
-from . import cache
+from . import cache, coeffs
 from .checks import CHECK_NAMES, format_report, suite_verdicts
 from .coeffs import (
     METHOD_COMBINATORIAL,
     METHOD_RESIDUE,
     METHOD_SWEEP,
-    CoeffRecord,
-    CoeffTable,
     laurent_coefficient,
     zero_census,
 )
@@ -50,7 +47,7 @@ from .exact import MAX_DEGREE
 
 # Largest --m-max any command accepts: a d=2 sweep to m=5000 is projected
 # at about 12 minutes (25 s at m=2000, growing about as m^3.7), and the
-# pair list is built before any work.
+# sweep allocates its rows of m_max + 2 ints per level before any work.
 MAX_M = 10**5
 
 EXIT_OK = 0
@@ -194,45 +191,46 @@ def _emit(text: str, path: str | Path | None):
 
 
 @cache.unlimited_int_digits()
-def _records_json_lines(records) -> str:
+def _records_json_lines(rows) -> str:
     lines = []
-    for rec in records:
+    for d, m, value in rows:
         lines.append(json.dumps({
-            "d": rec.d,
-            "m": rec.m,
-            "numerator": str(rec.value.numerator),
-            "denominator": str(rec.value.denominator),
+            "d": d,
+            "m": m,
+            "numerator": str(value.numerator),
+            "denominator": str(value.denominator),
         }, sort_keys=True))
     return "\n".join(lines) + "\n" if lines else ""
 
 
+def _swept_rows(degrees, m_max):
+    """(d, m, b_m) for every degree and m <= m_max, one sweep per degree."""
+    return [(d, m, value) for d in degrees
+            for m, value in enumerate(coeffs.coefficients_by_sweep(d, m_max))]
+
+
 def cmd_compute(args) -> int:
-    pairs = [(d, m) for d in args.d for m in range(args.m_max + 1)]
-    table = CoeffTable()
-    table.fill(pairs)
+    rows = _swept_rows(args.d, args.m_max)
     if args.method == "both":
-        for d, m in pairs:
-            a = table.value(d, m)
+        for d, m, a in rows:
             b = laurent_coefficient(d, m, method=METHOD_COMBINATORIAL).value
             if a != b:
                 print(f"multibrot: method disagreement at d={d}, m={m}: "
                       f"{METHOD_SWEEP}={a}, combinatorial={b}", file=sys.stderr)
                 return EXIT_VERIFICATION
-    records = table.records_sorted()
     if args.output == "csv":
-        text = cache.format_table(records)
+        text = cache.format_table(rows)
     else:
-        text = _records_json_lines(records)
+        text = _records_json_lines(rows)
     _emit(text, args.cache)
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
-    table = CoeffTable()
+    cached = None
     if args.cache is not None:
-        for d, m, value in cache.load_coefficients(args.cache):
-            table.add(CoeffRecord(d, m, value, "cached"))
-    verdicts = suite_verdicts(args.d, args.m_max, args.checks, table)
+        cached = {(d, m): value for d, m, value in cache.load_coefficients(args.cache)}
+    verdicts = suite_verdicts(args.d, args.m_max, args.checks, cached)
     _emit(format_report(verdicts), args.report)
     failures = [v for v in verdicts if not v.passed]
     print(f"multibrot verify: {len(verdicts)} verdicts, {len(failures)} failures",
@@ -273,21 +271,18 @@ def cmd_census(args) -> int:
 
 
 def _bench_one(args, method: str):
-    pairs = [(d, m) for d in args.d for m in range(args.m_max + 1)]
     start = time.perf_counter()
     if method == METHOD_SWEEP:
-        table = CoeffTable()
-        table.fill(pairs)
-        records = table.records_sorted()
+        rows = _swept_rows(args.d, args.m_max)
     else:
-        records = [laurent_coefficient(d, m, method=method) for d, m in pairs]
+        rows = [(d, m, laurent_coefficient(d, m, method=method).value)
+                for d in args.d for m in range(args.m_max + 1)]
     elapsed = time.perf_counter() - start
     peak_bits = 0
-    for rec in records:
-        peak_bits = max(peak_bits,
-                        rec.value.numerator.bit_length(),
-                        rec.value.denominator.bit_length())
-    digest = hashlib.sha256(cache.format_table(records).encode("utf-8")).hexdigest()
+    for _, _, value in rows:
+        peak_bits = max(peak_bits, value.numerator.bit_length(),
+                        value.denominator.bit_length())
+    digest = hashlib.sha256(cache.format_table(rows).encode("utf-8")).hexdigest()
     return elapsed, peak_bits, digest
 
 

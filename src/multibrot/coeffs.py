@@ -19,8 +19,8 @@ Agreement of the two routes on every input is a tested invariant, as is
 independence of the choice of admissible iteration order n.
 
 Whole tables b_0..b_M come from ``coefficients_by_sweep``, one pass
-over the series of the iterates Q_k(Psi(w)), which ``CoeffTable.fill``
-runs once per degree; the residue route is its independent oracle.
+over the series of the iterates Q_k(Psi(w)); every command runs one
+sweep per degree, and the residue route is its independent oracle.
 """
 
 from __future__ import annotations
@@ -36,9 +36,6 @@ METHOD_RESIDUE = "residue"
 METHOD_COMBINATORIAL = "combinatorial"
 METHOD_SPECIAL = "special-case"
 METHOD_SWEEP = "sweep"
-# Methods whose records come from a full computation, vanishing shortcut
-# off; a check that must not read a shortcut or cached value trusts these.
-TRUSTED_METHODS = frozenset((METHOD_RESIDUE, METHOD_COMBINATORIAL, METHOD_SWEEP))
 
 
 @dataclass(frozen=True)
@@ -288,79 +285,22 @@ def laurent_coefficient(d: int, m: int, *, method: str = METHOD_RESIDUE) -> Coef
     return CoeffRecord(d, m, value, method)
 
 
-class CoeffTable:
-    """Coefficient store keyed by (d, m).
-
-    ``fill`` is the only way the table computes a record: one column sweep
-    per degree.  ``value`` is a lookup and raises ``KeyError`` for a pair
-    the table does not hold; one index on its own costs less by
-    ``coefficient_by_residue``, outside any table.
-    """
-
-    def __init__(self):
-        self._records: dict[tuple[int, int], CoeffRecord] = {}
-
-    def __len__(self):
-        return len(self._records)
-
-    def __contains__(self, key):
-        return key in self._records
-
-    def add(self, record: CoeffRecord):
-        self._records[(record.d, record.m)] = record
-
-    def get(self, d: int, m: int) -> CoeffRecord | None:
-        return self._records.get((d, m))
-
-    def _trusted(self, key) -> bool:
-        record = self._records.get(key)
-        return record is not None and record.method in TRUSTED_METHODS
-
-    def fill(self, pairs, full=()):
-        """Compute every (d, m) in ``pairs`` that the table lacks, and every
-        pair in ``full`` whose record is missing or not of a
-        ``TRUSTED_METHODS`` method, by one ``coefficients_by_sweep`` per
-        degree.
-
-        Each sweep runs up to the largest index it has to write and writes
-        only the wanted indices, so records already held below it stay.  A
-        check that reads a ``full`` pair never sees a cached or shortcut
-        value.
-        """
-        wanted = {key for key in pairs if key not in self._records}
-        wanted |= {key for key in full if not self._trusted(key)}
-        tops = {}
-        for d, m in wanted:
-            tops[d] = max(tops.get(d, 0), m)
-        for d, top in sorted(tops.items()):
-            for m, value in enumerate(coefficients_by_sweep(d, top)):
-                if (d, m) in wanted:
-                    self._records[(d, m)] = CoeffRecord(d, m, value, METHOD_SWEEP)
-
-    def value(self, d: int, m: int):
-        return self._records[(d, m)].value
-
-    def records_sorted(self) -> list[CoeffRecord]:
-        return [self._records[k] for k in sorted(self._records)]
-
-
-def zero_census(d: int, m_max: int, table: CoeffTable | None = None):
+def zero_census(d: int, m_max: int):
     """All m <= m_max with b_m = 0, flagged by whether the vanishing is
     explained by ``vanishes_by_divisibility`` (which covers m = 0 for d >= 3).
 
-    Unexplained candidates are found by full computation, one sweep over
-    the indices the criterion leaves open; no pattern beyond the
-    divisibility criterion is assumed.
+    Unexplained candidates are found by full computation, one sweep up to
+    the last index the criterion leaves open (none when it leaves none
+    open); no pattern beyond the divisibility criterion is assumed.
     """
     if m_max < 0:
         raise ValueError("m_max must be >= 0")
-    if table is None:
-        table = CoeffTable()
-    table.fill([(d, m) for m in range(m_max + 1) if not vanishes_by_divisibility(d, m)])
+    top = (m_max + 1) // (d - 1) * (d - 1) - 1
+    values = coefficients_by_sweep(d, top) if top >= 0 else []
     zeros = []
     for m in range(m_max + 1):
         if vanishes_by_divisibility(d, m):
             zeros.append((m, True))
-        elif table.value(d, m) == 0:
+        elif values[m] == 0:
             zeros.append((m, False))
     return zeros

@@ -40,11 +40,10 @@ from multibrot.checks import (
     suite_verdicts,
 )
 from multibrot.coeffs import (
-    CoeffRecord,
-    CoeffTable,
     choose_n,
     coefficient_by_partition_sum,
     coefficient_by_residue,
+    coefficients_by_sweep,
     laurent_coefficient,
     zero_census,
 )
@@ -71,19 +70,13 @@ def _criterion(num, name, ok, detail=""):
 
 @pytest.fixture(scope="module")
 def table():
-    t = CoeffTable()
-    t.fill([(2, m) for m in range(M_MAX + 1)])
-    return t
-
-
-def _ensure_main_degree_pairs(t):
-    pairs = [
-        (d, m)
-        for d in MAIN_DEGREES
-        for m in range(M_SUBSET + 1)
-        if (m + 1) % (d - 1) == 0
-    ]
-    t.fill(pairs)
+    """{(d, m): b_m} from one sweep per degree: d = 2 to M_MAX, the main
+    and the prime degrees to M_SUBSET."""
+    return {
+        (d, m): value
+        for d in sorted({2, 3, 5, *MAIN_DEGREES})
+        for m, value in enumerate(coefficients_by_sweep(d, M_MAX if d == 2 else M_SUBSET))
+    }
 
 
 def test_criterion_01_known_constants():
@@ -122,25 +115,24 @@ def test_criterion_02_oracle_equivalence():
 
 def test_criterion_03_zagier_observation(table):
     start = time.perf_counter()
-    bad = [m for m in range(M_MAX + 1) if not check_zagier(m, table.value(2, m)).passed]
+    bad = [m for m in range(M_MAX + 1) if not check_zagier(m, table[2, m]).passed]
     detail = f"m<={M_MAX}, {time.perf_counter() - start:.1f}s"
     assert _criterion(3, "Zagier bound + equality biconditional", not bad, detail), bad
 
 
 def test_criterion_04_ewing_schober_bound(table):
     bad = [m for m in range(M_MAX + 1)
-           if not check_ewing_schober(m, table.value(2, m)).passed]
+           if not check_ewing_schober(m, table[2, m]).passed]
     assert _criterion(4, "Ewing-Schober 2m+1 bound", not bad, f"m<={M_MAX}"), bad
 
 
 def test_criterion_05_levin_equality(table):
-    bad = [m for m in range(1, M_MAX + 1, 2) if not check_levin(m, table.value(2, m)).passed]
+    bad = [m for m in range(1, M_MAX + 1, 2) if not check_levin(m, table[2, m]).passed]
     assert _criterion(5, "Levin equality at odd m", not bad, f"odd m<={M_MAX}"), bad
 
 
 def test_criterion_06_main_bound(table):
     start = time.perf_counter()
-    _ensure_main_degree_pairs(table)
     verdicts = suite_verdicts(MAIN_DEGREES, M_SUBSET, ["main"], table)
     failures = [v for v in verdicts if not v.passed]
     degrees_seen = {v.d for v in verdicts}
@@ -149,14 +141,9 @@ def test_criterion_06_main_bound(table):
     assert _criterion(6, "main bound + equality biconditional", ok, detail), failures[:5]
 
 
-def _ensure_prime_degree_pairs(t):
-    t.fill([(p, m) for p in (2, 3, 5) for m in range(M_SUBSET + 1)])
-
-
 def test_criterion_07_yamashita_consistency(table):
     # faithful to the stated criterion; see the module docstring for why
     # this fails and what the corrected relationship is
-    _ensure_prime_degree_pairs(table)
     form_gaps = []
     verdict_gaps = []
     for p in (2, 3, 5):
@@ -168,8 +155,8 @@ def test_criterion_07_yamashita_consistency(table):
             additive_form = a + factorial_valuation(a, p)
             if floor_form != additive_form:
                 form_gaps.append((p, m, floor_form, additive_form))
-            ya = check_yamashita(p, m, table.value(p, m))
-            (main,) = check_main(p, m, table.value(p, m))
+            ya = check_yamashita(p, m, table[p, m])
+            (main,) = check_main(p, m, table[p, m])
             if (ya.bound, ya.attained, ya.equality_predicted, ya.passed) != (
                 main.bound,
                 main.attained,
@@ -193,7 +180,6 @@ def test_corrected_prime_degree_relationship(table):
     # what exact arithmetic actually supports: the floor form dominates the
     # additive form (so it is a valid, weaker bound), the two coincide for
     # p = 2, and nu_p((p*a)!) = a + nu_p(a!) is the exact floor-free identity
-    _ensure_prime_degree_pairs(table)
     for p in (2, 3, 5):
         for m in range(M_SUBSET + 1):
             if (m + 1) % (p - 1) != 0:
@@ -205,10 +191,10 @@ def test_corrected_prime_degree_relationship(table):
             assert additive_form == factorial_valuation(p * a, p)
             if p == 2:
                 assert floor_form == additive_form
-                ya = check_yamashita(p, m, table.value(p, m))
+                ya = check_yamashita(p, m, table[p, m])
                 assert ya.passed
             # the bound itself (not its equality clause) always holds
-            ya = check_yamashita(p, m, table.value(p, m))
+            ya = check_yamashita(p, m, table[p, m])
             assert ya.attained <= ya.bound
 
 
@@ -227,20 +213,19 @@ def test_criterion_08_vanishing_by_full_computation():
 
 
 def test_criterion_09_integrality(table):
-    _ensure_main_degree_pairs(table)
     failures = []
-    for rec in table.records_sorted():
-        if (rec.m + 1) % (rec.d - 1) != 0:
+    for (d, m), value in sorted(table.items()):
+        if (m + 1) % (d - 1) != 0:
             continue
-        if not check_integrality(rec.d, rec.m, rec.value).passed:
-            failures.append((rec.d, rec.m))
-    count = sum(1 for rec in table.records_sorted() if (rec.m + 1) % (rec.d - 1) == 0)
+        if not check_integrality(d, m, value).passed:
+            failures.append((d, m))
+    count = sum(1 for d, m in table if (m + 1) % (d - 1) == 0)
     assert _criterion(9, "b * d^x(m) is an integer", not failures,
                       f"{count} coefficients"), failures
 
 
-def test_criterion_10_zero_census(table):
-    zeros = zero_census(2, M_SUBSET, table)
+def test_criterion_10_zero_census():
+    zeros = zero_census(2, M_SUBSET)
     zero_indices = {m for m, _ in zeros}
     ok = (4, False) in zeros
     odd_zeros = [m for m in zero_indices if m % 2 == 1]
@@ -310,12 +295,10 @@ def test_full_range_sweep_m1000(degree_two_table_m1000):
     """Criteria 3-5 and 9 over the full stated range m <= 1000, on the
     table ``compute --d 2 --m-max 1000`` prints."""
     start = time.perf_counter()
-    t = CoeffTable()
-    for d, m, value in degree_two_table_m1000[1]:
-        t.add(CoeffRecord(d, m, value, "cached"))
+    t = {(d, m): value for d, m, value in degree_two_table_m1000[1]}
     bad = []
     for m in range(1001):
-        value = t.value(2, m)
+        value = t[2, m]
         if not check_zagier(m, value).passed:
             bad.append(("zagier", m))
         if not check_ewing_schober(m, value).passed:

@@ -1,0 +1,43 @@
+"""The names the benchmark under ``perfbench/`` looks up in the package.
+
+``perfbench.trace.Tracer.install`` wraps a fixed list of functions by
+module and name, and ``perfbench/run.py`` reads a few more; renaming or
+deleting any of them breaks the benchmark, so it fails here first.
+"""
+
+import sys
+from pathlib import Path
+
+import multibrot.cli as cli
+from multibrot import cache, checks, coeffs, exact, series
+
+ROOT = Path(__file__).resolve().parents[1]
+if str(ROOT) not in sys.path:
+    sys.path.insert(0, str(ROOT))
+
+from perfbench import trace  # noqa: E402
+
+
+def test_tracer_installs_and_uninstalls():
+    originals = {(module, attr): getattr(module, attr)
+                 for module in (cli, coeffs, checks, cache, series, exact)
+                 for attr in dir(module) if callable(getattr(module, attr))}
+    tracer = trace.Tracer()
+    tracer.install()
+    try:
+        assert cli.main is not originals[(cli, "main")]
+        assert cli.main(["bench", "--d", "2,3", "--m-max", "4", "--method", "residue"]) == 0
+    finally:
+        tracer.uninstall()
+    metrics = trace.layer_metrics(tracer)
+    assert metrics["coeffs.coefficient_calls"] == 10
+    assert metrics["coeffs.shortcut_ratio"] > 0  # METHOD_SPECIAL records were seen
+    restored = {(module, attr): getattr(module, attr) for module, attr in originals}
+    assert restored == originals
+
+
+def test_names_the_benchmark_reads_exist():
+    assert callable(cli.build_parser)
+    assert isinstance(coeffs._poly_cache, dict)
+    assert isinstance(exact.GMP_BACKEND, bool)
+    assert isinstance(coeffs.METHOD_SPECIAL, str)

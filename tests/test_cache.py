@@ -11,9 +11,7 @@ from multibrot.cache import (
     format_table,
     load_coefficients,
     parse_table,
-    store_coefficients,
 )
-from multibrot.coeffs import CoeffRecord
 from multibrot.exact import rational
 
 
@@ -27,7 +25,7 @@ def _with_payload(lines):
 def test_round_trip_single_record(tmp_path):
     path = tmp_path / "coeffs.csv"
     rows = [(2, 0, rational(-1, 2))]
-    store_coefficients(path, rows)
+    path.write_text(format_table(rows))
     assert load_coefficients(path) == rows
 
 
@@ -40,24 +38,18 @@ def test_round_trip_many_records_bit_exact(tmp_path):
         (2, 99, rational(3**40, 2**200)),
         (6, 4, rational(-7, 36)),
     ]
-    store_coefficients(path, rows)
+    path.write_text(format_table(rows))
     loaded = load_coefficients(path)
     assert loaded == rows
     # storing what was loaded reproduces the file byte for byte
     text_once = path.read_bytes()
-    store_coefficients(path, loaded)
+    path.write_text(format_table(loaded))
     assert path.read_bytes() == text_once
-
-
-def test_accepts_coeff_records(tmp_path):
-    path = tmp_path / "coeffs.csv"
-    store_coefficients(path, [CoeffRecord(2, 1, rational(1, 8), "residue")])
-    assert load_coefficients(path) == [(2, 1, rational(1, 8))]
 
 
 def test_records_are_sorted_on_store(tmp_path):
     path = tmp_path / "coeffs.csv"
-    store_coefficients(path, [(3, 1, rational(-1, 3)), (2, 5, rational(-47, 1024))])
+    path.write_text(format_table([(3, 1, rational(-1, 3)), (2, 5, rational(-47, 1024))]))
     lines = path.read_text().splitlines()
     assert lines[1].startswith("2,5,")
     assert lines[2].startswith("3,1,")
@@ -114,6 +106,20 @@ def test_non_lowest_terms_rejected():
             parse_table(_with_payload(["2,0,-1,2", f"2,1,{num},{den}"]))
 
 
+@pytest.mark.parametrize("line", [
+    "2,1,+1,8",   # explicit plus sign
+    "2,1,1,0_8",  # underscore between digits
+    "2,01,1,8",   # leading zero
+    "2, 1,1,8",   # space inside a field
+    "2,1,\u0663,8",  # Arabic-Indic digit three
+])
+def test_non_canonical_spelling_rejected(line):
+    # int() accepts each of these, so each parses to a value, but the
+    # table spells every value one way only
+    with pytest.raises(CacheFormatError, match="^line 3: fields not in canonical form$"):
+        parse_table(_with_payload(["2,0,-1,2", line]))
+
+
 def test_non_positive_denominator_rejected():
     with pytest.raises(CacheFormatError, match="positive"):
         parse_table(_with_payload(["2,1,1,-8"]))
@@ -153,7 +159,7 @@ def test_round_trip_above_the_int_str_digit_cap(tmp_path):
     limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
     path = tmp_path / "big.csv"
     rows = [(2, 9999, rational(10**20000 + 1, 2**66439))]
-    store_coefficients(path, rows)
+    path.write_text(format_table(rows))
     assert load_coefficients(path) == rows
     assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
 

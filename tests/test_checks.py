@@ -17,15 +17,14 @@ from multibrot.checks import (
     verdict_line,
 )
 from multibrot import checks, coeffs
-from multibrot.coeffs import CoeffRecord, CoeffTable, zero_census
+from multibrot.coeffs import coefficients_by_sweep, zero_census
 from multibrot.exact import NEG_INF, POS_INF, factorial_valuation, rational
 
 
 @pytest.fixture(scope="module")
-def table():
-    t = CoeffTable()
-    t.fill([(d, m) for d in range(2, 13) for m in range(61)])
-    return t
+def values():
+    return {(d, m): value for d in range(2, 13)
+            for m, value in enumerate(coefficients_by_sweep(d, 60))}
 
 
 def test_denominator_exponent():
@@ -37,30 +36,30 @@ def test_denominator_exponent():
 
 
 class TestMain:
-    def test_m_zero_degree_two(self, table):
-        (v,) = check_main(2, 0, table.value(2, 0))
+    def test_m_zero_degree_two(self, values):
+        (v,) = check_main(2, 0, values[2, 0])
         assert (v.bound, v.attained) == (1, 1)
         assert v.equality_predicted and v.equality_observed and v.passed
 
-    def test_equality_from_odd_index(self, table):
-        (v,) = check_main(2, 1, table.value(2, 1))
+    def test_equality_from_odd_index(self, values):
+        (v,) = check_main(2, 1, values[2, 1])
         assert (v.bound, v.attained) == (3, 3)
         assert v.equality_predicted and v.passed
 
-    def test_strict_inequality(self, table):
-        (v,) = check_main(2, 2, table.value(2, 2))
+    def test_strict_inequality(self, values):
+        (v,) = check_main(2, 2, values[2, 2])
         assert (v.bound, v.attained) == (4, 2)
         assert not v.equality_predicted and not v.equality_observed
         assert v.passed
 
-    def test_prime_power_degree(self, table):
-        (v,) = check_main(4, 2, table.value(4, 2))
+    def test_prime_power_degree(self, values):
+        (v,) = check_main(4, 2, values[4, 2])
         assert v.p == 2
         assert (v.bound, v.attained) == (2, 2)
         assert v.equality_predicted and v.passed
 
-    def test_composite_degree_yields_one_verdict_per_prime(self, table):
-        verdicts = check_main(6, 4, table.value(6, 4))
+    def test_composite_degree_yields_one_verdict_per_prime(self, values):
+        verdicts = check_main(6, 4, values[6, 4])
         assert [v.p for v in verdicts] == [2, 3]
         assert all(v.passed for v in verdicts)
 
@@ -74,14 +73,14 @@ class TestZagier:
         "m, bound, attained, equal",
         [(0, 1, 1, True), (1, 3, 3, True), (2, 4, 2, False), (3, 7, 7, True)],
     )
-    def test_small_indices(self, table, m, bound, attained, equal):
-        v = check_zagier(m, table.value(2, m))
+    def test_small_indices(self, values, m, bound, attained, equal):
+        v = check_zagier(m, values[2, m])
         assert (v.bound, v.attained) == (bound, attained)
         assert v.equality_predicted == equal == v.equality_observed
         assert v.passed
 
-    def test_zero_coefficient_attains_minus_infinity(self, table):
-        v = check_zagier(4, table.value(2, 4))
+    def test_zero_coefficient_attains_minus_infinity(self, values):
+        v = check_zagier(4, values[2, 4])
         assert v.attained is NEG_INF
         assert not v.equality_predicted and not v.equality_observed
         assert v.passed
@@ -89,20 +88,20 @@ class TestZagier:
 
 class TestEwingSchober:
     @pytest.mark.parametrize("m, bound", [(0, 1), (1, 3), (4, 9)])
-    def test_bound(self, table, m, bound):
-        v = check_ewing_schober(m, table.value(2, m))
+    def test_bound(self, values, m, bound):
+        v = check_ewing_schober(m, values[2, m])
         assert v.bound == bound
         assert v.equality_predicted is None and v.equality_observed is None
         assert v.passed
 
-    def test_zero_coefficient(self, table):
-        assert check_ewing_schober(4, table.value(2, 4)).attained is NEG_INF
+    def test_zero_coefficient(self, values):
+        assert check_ewing_schober(4, values[2, 4]).attained is NEG_INF
 
 
 class TestLevin:
     @pytest.mark.parametrize("m, attained", [(1, 3), (3, 7), (5, 10)])
-    def test_exact_equality(self, table, m, attained):
-        v = check_levin(m, table.value(2, m))
+    def test_exact_equality(self, values, m, attained):
+        v = check_levin(m, values[2, m])
         assert v.attained == attained == v.bound == factorial_valuation(2 * m + 2, 2)
         assert v.equality_predicted and v.equality_observed and v.passed
 
@@ -112,18 +111,18 @@ class TestLevin:
 
 
 class TestYamashita:
-    def test_prime_two(self, table):
-        v = check_yamashita(2, 1, table.value(2, 1))
+    def test_prime_two(self, values):
+        v = check_yamashita(2, 1, values[2, 1])
         assert v.bound == 3 and v.attained == 3
         assert v.equality_predicted and v.passed
 
-    def test_non_divisible_index_vanishes(self, table):
-        v = check_yamashita(3, 2, table.value(3, 2))
+    def test_non_divisible_index_vanishes(self, values):
+        v = check_yamashita(3, 2, values[3, 2])
         assert v.bound is NEG_INF and v.attained is NEG_INF
         assert v.passed
 
-    def test_equality_at_m_equals_p_minus_2(self, table):
-        v = check_yamashita(3, 1, table.value(3, 1))
+    def test_equality_at_m_equals_p_minus_2(self, values):
+        v = check_yamashita(3, 1, values[3, 1])
         assert v.bound == 1 and v.attained == 1
         assert v.equality_predicted and v.passed
 
@@ -133,18 +132,18 @@ class TestYamashita:
         with pytest.raises(ValueError):
             check_yamashita(1, 1, rational(0))
 
-    def test_agrees_with_main_for_degree_two(self, table):
+    def test_agrees_with_main_for_degree_two(self, values):
         # for p = 2 the floor-form bound coincides with the additive form
         for m in range(0, 41):
-            ya = check_yamashita(2, m, table.value(2, m))
-            (main,) = check_main(2, m, table.value(2, m))
+            ya = check_yamashita(2, m, values[2, m])
+            (main,) = check_main(2, m, values[2, m])
             assert ya.bound == main.bound
             assert ya.attained == main.attained
             assert ya.equality_predicted == main.equality_predicted
             assert ya.passed and main.passed
 
     @pytest.mark.parametrize("p", [3, 5])
-    def test_floor_form_is_weaker_for_odd_primes(self, table, p):
+    def test_floor_form_is_weaker_for_odd_primes(self, values, p):
         # floor(nu_p((pm+p)!)/(p-1)) >= a + nu_p(a!), with equality often
         # but not always (first gaps: p=3 at m=9, p=5 at m=35).  Where the
         # forms differ the printed equality clause is refuted by the exact
@@ -156,28 +155,28 @@ class TestYamashita:
             floor_form = factorial_valuation(p * m + p, p) // (p - 1)
             additive_form = a + factorial_valuation(a, p)
             assert floor_form >= additive_form
-            ya = check_yamashita(p, m, table.value(p, m))
-            (main,) = check_main(p, m, table.value(p, m))
+            ya = check_yamashita(p, m, values[p, m])
+            (main,) = check_main(p, m, values[p, m])
             assert main.passed
             assert ya.bound == floor_form and main.bound == additive_form
             assert ya.passed == (floor_form == additive_form)
 
-    def test_known_counterexample_to_floor_form_equality(self, table):
+    def test_known_counterexample_to_floor_form_equality(self, values):
         # m = 29, p = 3: attained 21 = additive form, floor form 22, and
         # 3 does not divide 29, so the floor-form clause predicts an
         # equality that does not happen
-        v = check_yamashita(3, 29, table.value(3, 29))
+        v = check_yamashita(3, 29, values[3, 29])
         assert v.bound == 22 and v.attained == 21
         assert v.equality_predicted and not v.equality_observed
         assert not v.passed
-        (main,) = check_main(3, 29, table.value(3, 29))
+        (main,) = check_main(3, 29, values[3, 29])
         assert main.bound == 21 and main.passed
 
 
 class TestVanishing:
     @pytest.mark.parametrize("d, m", [(3, 2), (4, 1), (5, 10)])
-    def test_full_computation_returns_zero(self, table, d, m):
-        v = check_vanishing(d, m, table.value(d, m))
+    def test_full_computation_returns_zero(self, values, d, m):
+        v = check_vanishing(d, m, values[d, m])
         assert v.attained is NEG_INF
         assert v.passed
 
@@ -190,19 +189,12 @@ class TestVanishing:
             check_vanishing(3, 0, rational(0))
 
     def test_ignores_shortcut_records_in_full_table(self):
-        # a poisoned shortcut or cached record must not make the check vacuous
-        for method in ("special-case", "cached"):
-            poisoned = CoeffTable()
-            poisoned.add(CoeffRecord(3, 2, rational(1, 9), method))
-            (v,) = suite_verdicts([3], 2, ["vanishing"], poisoned)
-            assert v.passed, method
-            assert poisoned.get(3, 2) == CoeffRecord(3, 2, 0, "sweep"), method
-
-    def test_trusts_genuine_full_records(self):
-        full = CoeffTable()
-        full.add(CoeffRecord(3, 2, rational(1, 9), "residue"))
-        (v,) = suite_verdicts([3], 2, ["vanishing"], full)
-        assert not v.passed
+        # a poisoned cached value must not make the check vacuous, whatever
+        # route it claims to come from: a full pair is always computed anew
+        poisoned = {(3, 2): rational(1, 9)}
+        (v,) = suite_verdicts([3], 2, ["vanishing"], poisoned)
+        assert v.passed
+        assert poisoned == {(3, 2): rational(1, 9)}  # the caller's mapping is not written
 
 
 class TestIntegrality:
@@ -210,11 +202,11 @@ class TestIntegrality:
         "d, m, bound, attained",
         [(2, 1, 3, 3), (2, 0, 1, 1), (4, 2, 1, 1), (2, 4, 8, 0)],
     )
-    def test_exponent_clears_denominator(self, table, d, m, bound, attained):
-        v = check_integrality(d, m, table.value(d, m))
+    def test_exponent_clears_denominator(self, values, d, m, bound, attained):
+        v = check_integrality(d, m, values[d, m])
         assert (v.bound, v.attained) == (bound, attained)
         assert v.passed
-        value = table.value(d, m)
+        value = values[d, m]
         assert (value * rational(d) ** v.bound).denominator == 1
 
     def test_rejects_non_divisible(self):
@@ -228,9 +220,9 @@ class TestIntegrality:
 
 
 class TestDadic:
-    def test_computed_values_pass(self, table):
+    def test_computed_values_pass(self, values):
         for d, m in [(2, 5), (3, 3), (6, 9), (12, 10)]:
-            assert check_dadic(d, m, table.value(d, m)).passed
+            assert check_dadic(d, m, values[d, m]).passed
 
     def test_foreign_denominator_fails(self):
         assert not check_dadic(2, 1, rational(1, 3)).passed
@@ -243,83 +235,83 @@ class TestDadic:
     ("vanishing", check_vanishing),
     ("integrality", check_integrality),
 ])
-def test_checks_raise_exactly_where_they_do_not_apply(table, name, call):
+def test_checks_raise_exactly_where_they_do_not_apply(values, name, call):
     # CHECKS[name].applies is the only statement of where a check applies;
     # levin is a d = 2 statement, so it is asked at d = 2 only
     degrees = [2] if name == "levin" else range(2, 13)
     for d in degrees:
         for m in range(41):
             if checks.CHECKS[name].applies(d, m):
-                call(d, m, table.value(d, m))
+                call(d, m, values[d, m])
             else:
                 with pytest.raises(ValueError):
-                    call(d, m, table.value(d, m))
+                    call(d, m, values[d, m])
 
 
 class TestNonvanishingConsequence:
-    def test_predicted_equality_forces_nonzero(self, table):
+    def test_predicted_equality_forces_nonzero(self, values):
         # when some prime factor of d does not divide m (or m = d-2),
         # the coefficient cannot vanish
         for d in (2, 3, 4):
             for m in range(0, 31):
                 if (m + 1) % (d - 1) != 0:
                     continue
-                for v in check_main(d, m, table.value(d, m)):
+                for v in check_main(d, m, values[d, m]):
                     if v.equality_predicted:
-                        assert table.value(d, m) != 0
+                        assert values[d, m] != 0
 
 
 class TestSuite:
-    def test_zagier_suite_counts_and_passes(self, table):
-        verdicts = suite_verdicts([2], 10, ["zagier"], table)
+    def test_zagier_suite_counts_and_passes(self, values):
+        verdicts = suite_verdicts([2], 10, ["zagier"], values)
         assert len(verdicts) == 11
         assert all(v.passed for v in verdicts)
 
-    def test_empty_checks_empty_report(self, table):
-        assert suite_verdicts([2], 10, [], table) == []
+    def test_empty_checks_empty_report(self, values):
+        assert suite_verdicts([2], 10, [], values) == []
         assert format_report([]).startswith(REPORT_HEADER)
 
-    def test_unknown_check_rejected(self, table):
+    def test_unknown_check_rejected(self, values):
         with pytest.raises(ValueError, match="unknown"):
-            suite_verdicts([2], 5, ["bogus"], table)
+            suite_verdicts([2], 5, ["bogus"], values)
 
-    def test_composite_degree_covers_both_primes(self, table):
-        verdicts = suite_verdicts([6], 50, ["main"], table)
+    def test_composite_degree_covers_both_primes(self, values):
+        verdicts = suite_verdicts([6], 50, ["main"], values)
         assert {v.p for v in verdicts} == {2, 3}
         assert len(verdicts) == 2 * len([m for m in range(51) if (m + 1) % 5 == 0])
         assert all(v.passed for v in verdicts)
 
-    def test_degree_restrictions(self, table):
+    def test_degree_restrictions(self, values):
         # zagier/ewing-schober/levin are degree-2 statements; yamashita
         # needs a prime degree; vanishing needs d >= 3
-        assert suite_verdicts([3], 5, ["zagier", "ewing-schober", "levin"], table) == []
-        assert suite_verdicts([4], 5, ["yamashita"], table) == []
-        assert suite_verdicts([2], 5, ["vanishing"], table) == []
+        assert suite_verdicts([3], 5, ["zagier", "ewing-schober", "levin"], values) == []
+        assert suite_verdicts([4], 5, ["yamashita"], values) == []
+        assert suite_verdicts([2], 5, ["vanishing"], values) == []
 
-    def test_duplicate_check_names_collapse(self, table):
-        once = suite_verdicts([2], 5, ["zagier"], table)
-        twice = suite_verdicts([2], 5, ["zagier", "zagier"], table)
+    def test_duplicate_check_names_collapse(self, values):
+        once = suite_verdicts([2], 5, ["zagier"], values)
+        twice = suite_verdicts([2], 5, ["zagier", "zagier"], values)
         assert once == twice
 
-    def test_small_composite_sweep(self, table):
+    def test_small_composite_sweep(self, values):
         # everything passes except the yamashita floor-form check at the
         # indices where that form exceeds the (verified) additive bound
-        verdicts = suite_verdicts([2, 3, 4, 6], 25, list(CHECK_NAMES), table)
+        verdicts = suite_verdicts([2, 3, 4, 6], 25, list(CHECK_NAMES), values)
         failures = [v for v in verdicts if not v.passed]
         assert {(v.check, v.d, v.m) for v in failures} == {
             ("yamashita", 3, 9),
             ("yamashita", 3, 15),
         }
 
-    def test_verdicts_sorted(self, table):
-        verdicts = suite_verdicts([2, 6], 8, ["main", "dadic"], table)
+    def test_verdicts_sorted(self, values):
+        verdicts = suite_verdicts([2, 6], 8, ["main", "dadic"], values)
         keys = [(v.check, v.d, v.m, v.p if v.p is not None else -1) for v in verdicts]
         assert keys == sorted(keys)
 
 
 class TestOneFillPath:
-    """A library caller's table is filled by one sweep per degree, as the
-    command line's is; nothing falls back to a per-index route."""
+    """A library caller's values come from one sweep per degree, as the
+    command line's do; nothing falls back to a per-index route."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -347,34 +339,70 @@ class TestOneFillPath:
         assert (4, False) in zero_census(2, 60)
         assert calls == [("coefficients_by_sweep", 2)]
 
-    def test_trusted_full_records_are_not_swept_again(self, calls):
-        table = CoeffTable()
-        first = suite_verdicts([3], 60, ["vanishing"], table)
+    def test_full_pairs_are_swept_despite_a_cache(self, calls, values):
+        cached = {key: value for key, value in values.items() if key[0] == 3}
+        assert suite_verdicts([3], 60, ["vanishing"], cached)
         assert calls == [("coefficients_by_sweep", 3)]
         calls.clear()
-        assert suite_verdicts([3], 60, ["vanishing"], table) == first
+        assert suite_verdicts([3], 60, ["main"], cached)
         assert calls == []
 
 
+class TestCacheRule:
+    """``suite_verdicts`` judges a cached value as given, except at the
+    pairs of full checks, and sweeps each degree once, up to the largest
+    index the cache does not cover or a full pair needs."""
+
+    @pytest.fixture
+    def sweeps(self, monkeypatch):
+        made = []
+        real = coeffs.coefficients_by_sweep
+
+        def sweep(d, m_max):
+            made.append((d, m_max))
+            return real(d, m_max)
+
+        monkeypatch.setattr(coeffs, "coefficients_by_sweep", sweep)
+        return made
+
+    def test_sweeps_uncached_and_full_pairs_only(self, sweeps, values):
+        # wrong but d-adic b_1 = 1/2 for d = 2 is judged as given; foreign
+        # b_2 = 1/5 for d = 3 sits at a vanishing pair, so every check there
+        # reads the swept value instead
+        cached = {(2, 1): rational(1, 2), (2, 3): values[2, 3],
+                  (3, 1): values[3, 1], (3, 2): rational(1, 5), (3, 3): values[3, 3]}
+        verdicts = suite_verdicts([2, 3], 3, ["zagier", "vanishing", "dadic"], cached)
+        assert sweeps == [(2, 2), (3, 2)]
+        assert [(v.check, v.d, v.m) for v in verdicts if not v.passed] == [("zagier", 2, 1)]
+        assert {(v.check, v.d, v.m) for v in verdicts if v.d == 3 and v.m == 2} == {
+            ("dadic", 3, 2), ("vanishing", 3, 2)}
+
+    def test_no_sweep_when_the_cache_covers_every_pair(self, sweeps, values):
+        cached = {(2, m): values[2, m] for m in range(11)}
+        assert suite_verdicts([2], 10, ["zagier", "levin"], cached) == \
+            suite_verdicts([2], 10, ["zagier", "levin"])
+        assert sweeps == [(2, 10)]  # only the uncached call swept
+
+
 class TestReportFormat:
-    def test_line_fields(self, table):
-        v = check_zagier(4, table.value(2, 4))
+    def test_line_fields(self, values):
+        v = check_zagier(4, values[2, 4])
         line = verdict_line(v)
         assert line == "zagier,2,4,2,8,neg_inf,false,false,true"
 
-    def test_bound_only_checks_serialize_dashes(self, table):
-        line = verdict_line(check_ewing_schober(4, table.value(2, 4)))
+    def test_bound_only_checks_serialize_dashes(self, values):
+        line = verdict_line(check_ewing_schober(4, values[2, 4]))
         fields = line.split(",")
         assert fields[6] == "-" and fields[7] == "-"
 
-    def test_report_has_header_and_checksum(self, table):
-        verdicts = suite_verdicts([2], 5, ["zagier"], table)
+    def test_report_has_header_and_checksum(self, values):
+        verdicts = suite_verdicts([2], 5, ["zagier"], values)
         text = format_report(verdicts)
         lines = text.splitlines()
         assert lines[0] == REPORT_HEADER
         assert lines[-1].startswith("#sha256:")
         assert len(lines) == len(verdicts) + 2
 
-    def test_report_is_deterministic(self, table):
-        verdicts = suite_verdicts([2, 3], 12, ["main", "vanishing"], table)
+    def test_report_is_deterministic(self, values):
+        verdicts = suite_verdicts([2, 3], 12, ["main", "vanishing"], values)
         assert format_report(verdicts) == format_report(list(reversed(verdicts)))

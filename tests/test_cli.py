@@ -94,7 +94,7 @@ class TestCompute:
     def test_json_lines_above_the_int_str_digit_cap(self):
         limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
         value = rational(-(10**20000 + 1), 2**66439)
-        row = json.loads(_records_json_lines([CoeffRecord(2, 9999, value, "residue")]))
+        row = json.loads(_records_json_lines([(2, 9999, value)]))
         assert row["numerator"] == "-1" + "0" * 19999 + "1"
         assert len(row["denominator"]) == 20001
         assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
@@ -227,8 +227,8 @@ class TestVerify:
         )
 
     def test_checks_compute_no_coefficient_lazily(self, capsys, monkeypatch):
-        # Every coefficient a check reads must come from the table that
-        # suite_verdicts fills up front.
+        # Every coefficient a check reads must come from the sweeps that
+        # suite_verdicts runs up front.
         import multibrot.cli as cli_mod
         import multibrot.coeffs as coeffs_mod
 
@@ -266,7 +266,7 @@ class TestVerify:
         # a checksummed but wrong b_2 = 1/9 for d = 3: the vanishing check
         # needs (3, 2) computed in full, and yamashita reads that record too
         path = tmp_path / "table.csv"
-        cache.store_coefficients(path, [(3, 2, rational(1, 9))])
+        path.write_text(cache.format_table([(3, 2, rational(1, 9))]))
         code, out, _ = run(capsys, "verify", "--d", "3", "--m-max", "4", "--threads", "1",
                            "--checks", "vanishing,yamashita", "--cache", str(path))
         assert code == EXIT_OK
@@ -276,7 +276,7 @@ class TestVerify:
         # a checksummed but wrong b_1 = 1/2 for d = 2: computing m = 2..5
         # must not replace it, so zagier reads it and fails at m = 1
         path = tmp_path / "table.csv"
-        cache.store_coefficients(path, [(2, 0, rational(-1, 2)), (2, 1, rational(1, 2))])
+        path.write_text(cache.format_table([(2, 0, rational(-1, 2)), (2, 1, rational(1, 2))]))
         code, out, _ = run(capsys, "verify", "--d", "2", "--m-max", "5", "--threads", "1",
                            "--checks", "zagier", "--cache", str(path))
         assert code == EXIT_VERIFICATION
@@ -289,8 +289,8 @@ class TestVerify:
         assert err == "multibrot verify: 136 verdicts, 0 failures\n"
         # checksummed but wrong b_1 = b_3 = 2^-40 for d = 2 fail six checks twice
         path = tmp_path / "table.csv"
-        cache.store_coefficients(path, [(2, 0, rational(-1, 2)), (2, 1, rational(1, 2**40)),
-                                        (2, 3, rational(1, 2**40))])
+        path.write_text(cache.format_table([(2, 0, rational(-1, 2)), (2, 1, rational(1, 2**40)),
+                                            (2, 3, rational(1, 2**40))]))
         code, out, err = run(capsys, "verify", "--d", "2", "--m-max", "20", "--threads", "1",
                              "--cache", str(path))
         assert code == EXIT_VERIFICATION
@@ -415,15 +415,17 @@ def test_no_command_starts_processes(capsys, pools, command):
     assert pools == []
 
 
-def test_out_of_memory_exits_3(capsys, monkeypatch):
-    # the sweep's MemoryError is simulated; nothing large is allocated
+@pytest.mark.parametrize("command", ["compute", "verify", "census"])
+def test_out_of_memory_exits_3(capsys, monkeypatch, command):
+    # the sweep's MemoryError is simulated once, where the sweep is defined;
+    # it must reach each command, whichever module calls the sweep
     import multibrot.coeffs as coeffs_mod
 
     def exhausted(d, m_max):
         raise MemoryError
 
     monkeypatch.setattr(coeffs_mod, "coefficients_by_sweep", exhausted)
-    code, out, err = run(capsys, "compute", "--d", "2", "--m-max", "50", "--threads", "1")
+    code, out, err = run(capsys, command, "--d", "2", "--m-max", "50", "--threads", "1")
     assert code == EXIT_IO
     assert out == ""
     assert err == "multibrot: out of memory\n"

@@ -8,9 +8,6 @@ from multibrot.coeffs import (
     METHOD_COMBINATORIAL,
     METHOD_RESIDUE,
     METHOD_SPECIAL,
-    METHOD_SWEEP,
-    CoeffRecord,
-    CoeffTable,
     choose_n,
     coefficient_by_partition_sum,
     coefficient_by_residue,
@@ -314,11 +311,9 @@ class TestDynamicalInversion:
 
     @pytest.mark.parametrize("d, z0", [(2, 4.0), (2, 2.5), (3, 3.0)])
     def test_escape_rate_recovers_the_series_argument(self, d, z0):
-        table = CoeffTable()
-        table.fill([(d, m) for m in range(61)])
         c = z0
-        for m in range(0, 61):
-            c += float(table.value(d, m)) * z0 ** (-m)
+        for m, value in enumerate(coefficients_by_sweep(d, 60)):
+            c += float(value) * z0 ** (-m)
         z = c
         n = 0
         while abs(z) < 1e100 and n < 80:
@@ -352,13 +347,18 @@ class TestZeroCensus:
         with pytest.raises(ValueError):
             zero_census(2, -1)
 
-    def test_degree_two_zeros_to_m1000(self, degree_two_table_m1000):
+    def test_degree_two_zeros_to_m1000(self, degree_two_table_m1000, monkeypatch):
         # step 4 to 16, step 8 from 24 to 96, step 16 from 112 to 448, then
-        # step 32; none is explained by the divisibility criterion
-        table = CoeffTable()
-        for d, m, value in degree_two_table_m1000[1]:
-            table.add(CoeffRecord(d, m, value, "cached"))
-        zeros = zero_census(2, 1000, table)
+        # step 32; none is explained by the divisibility criterion.  The
+        # census reads the session's d = 2 sweep instead of sweeping again.
+        swept = [value for _, _, value in degree_two_table_m1000[1]]
+
+        def session_sweep(d, m_max):
+            assert d == 2 and m_max <= 1000
+            return swept[:m_max + 1]
+
+        monkeypatch.setattr(coeffs, "coefficients_by_sweep", session_sweep)
+        zeros = zero_census(2, 1000)
         assert zeros == [(m, False) for m in [*range(4, 17, 4), *range(24, 97, 8),
                                               *range(112, 449, 16), *range(480, 993, 32)]]
         assert len(zeros) == 53
@@ -384,15 +384,22 @@ class TestZeroCensus:
         ]
 
     @pytest.mark.slow
-    def test_zeros_to_m2000(self):
+    def test_zeros_to_m2000(self, monkeypatch):
         # about 60 s on one core: the d = 2 sweep 25-30 s, the d = 3 sweep
         # 9 s and the five residue calls 12 s.  d = 2: the blocks have steps
         # 4, 8, 16, 32, 64; each runs from its start s to 4s, and the next
         # starts one (doubled) step after that, so the fifth block starts
         # at 1920 + 64 = 1984.  d = 3: the odd zeros keep
         # the step 54 from 405 to 1971.  Observed, not explained.
-        table = CoeffTable()
-        zeros = zero_census(2, 2000, table)
+        swept = {}
+        real = coeffs.coefficients_by_sweep
+
+        def keep(d, m_max):
+            swept[d] = real(d, m_max)
+            return swept[d]
+
+        monkeypatch.setattr(coeffs, "coefficients_by_sweep", keep)
+        zeros = zero_census(2, 2000)
         assert zeros == [(m, False) for m in [*range(4, 17, 4), *range(24, 97, 8),
                                               *range(112, 449, 16), *range(480, 1921, 32),
                                               1984]]
@@ -400,51 +407,10 @@ class TestZeroCensus:
         assert [m for m, _ in zeros] == degree_two_zero_block_rule(2000)
         # the residue route as the oracle at the far end, about 2 s a call
         for m in [1984, *range(1997, 2001)]:
-            assert table.value(2, m) == coefficient_by_residue(2, m), m
+            assert swept[2][m] == coefficient_by_residue(2, m), m
         zeros = zero_census(3, 2000)
         assert [m for m, explained in zeros if explained] == list(range(0, 2001, 2))
         assert [m for m, explained in zeros if not explained] == [
             3, 9, 21, 27, 45, 63, 81, 99, 117, 135, 153, 171, 189, 225, 243, 279,
             297, 333, 351, 387, 405, *range(459, 1972, 54),
         ]
-
-
-class TestCoeffTable:
-    def test_value_is_a_lookup(self):
-        table = CoeffTable()
-        with pytest.raises(KeyError):
-            table.value(2, 3)
-        assert len(table) == 0
-        table.fill([(2, 3)])
-        assert table.value(2, 3) == rational(15, 128)
-        assert len(table) == 1
-        assert (2, 3) in table
-        with pytest.raises(KeyError):
-            table.value(2, 2)  # swept over, not asked for
-
-    def test_fill_sweeps_missing_and_full_pairs_only(self, monkeypatch):
-        sweeps = []
-        real = coeffs.coefficients_by_sweep
-
-        def sweep(d, m_max):
-            sweeps.append((d, m_max))
-            return real(d, m_max)
-
-        monkeypatch.setattr(coeffs, "coefficients_by_sweep", sweep)
-        table = CoeffTable()
-        table.add(CoeffRecord(2, 1, rational(1, 2), "cached"))
-        table.add(CoeffRecord(3, 2, rational(1, 9), "cached"))
-        table.fill([(2, m) for m in range(6)] + [(3, 1)], full=[(3, 2)])
-        assert sweeps == [(2, 5), (3, 2)]
-        assert table.get(2, 1).value == rational(1, 2)  # held below the sweep: kept
-        assert table.get(2, 5) == CoeffRecord(2, 5, rational(-47, 1024), METHOD_SWEEP)
-        assert table.get(3, 2) == CoeffRecord(3, 2, 0, METHOD_SWEEP)  # full: replaced
-        assert (3, 0) not in table  # swept over, not asked for
-        table.fill([(2, m) for m in range(6)])
-        assert len(sweeps) == 2
-
-    def test_sorted_listing(self):
-        table = CoeffTable()
-        table.fill([(3, 1), (2, 5), (2, 0)])
-        keys = [(r.d, r.m) for r in table.records_sorted()]
-        assert keys == [(2, 0), (2, 5), (3, 1)]
