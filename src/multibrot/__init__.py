@@ -18,7 +18,6 @@ from .exact import (
     binomial_general,
     factorial_valuation,
     factorize,
-    floor_rational,
     is_prime,
     padic_valuation,
     rational,
@@ -69,7 +68,6 @@ __all__ = [
     "binomial_general",
     "factorial_valuation",
     "factorize",
-    "floor_rational",
     "is_prime",
     "padic_valuation",
     "rational",

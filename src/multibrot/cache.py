@@ -80,17 +80,15 @@ def coefficient_line(d: int, m: int, value) -> str:
 @unlimited_int_digits()
 def format_table(rows) -> str:
     """Render (d, m, value) triples as the full table text (header,
-    payload, checksum)."""
-    triples = sorted(rows, key=lambda t: (t[0], t[1]))
-    for (d1, m1, v1), (d2, m2, v2) in zip(triples, triples[1:]):
-        if (d1, m1) == (d2, m2) and v1 != v2:
-            raise ValueError(f"conflicting values for (d={d1}, m={m1})")
-    seen = set()
+    payload, checksum), in the order given.  Raises ``ValueError`` unless
+    (d, m) strictly increases from row to row, as one sweep per degree
+    yields them."""
     lines = []
-    for d, m, value in triples:
-        if (d, m) in seen:
-            continue
-        seen.add((d, m))
+    previous = None
+    for d, m, value in rows:
+        if previous is not None and (d, m) <= previous:
+            raise ValueError(f"rows not strictly increasing in (d, m) at d={d}, m={m}")
+        previous = (d, m)
         lines.append(coefficient_line(d, m, value))
     return checksummed_text(HEADER, lines)
 

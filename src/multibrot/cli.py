@@ -62,22 +62,23 @@ class UsageError(ValueError):
     pass
 
 
+def _split_list(raw: list[str]) -> list[str]:
+    """The non-blank items of a repeatable comma-separated option, stripped."""
+    return [item for chunk in raw for item in map(str.strip, chunk.split(",")) if item]
+
+
 def _parse_degrees(raw: list[str]) -> list[int]:
     degrees = []
-    for chunk in raw:
-        for item in chunk.split(","):
-            item = item.strip()
-            if not item:
-                continue
-            try:
-                d = int(item)
-            except ValueError:
-                raise UsageError(f"invalid degree {item!r}") from None
-            if d < 2:
-                raise UsageError(f"degree must be >= 2, got {d}")
-            if d > MAX_DEGREE:
-                raise UsageError(f"degree must be <= {MAX_DEGREE}, got {d}")
-            degrees.append(d)
+    for item in _split_list(raw):
+        try:
+            d = int(item)
+        except ValueError:
+            raise UsageError(f"invalid degree {item!r}") from None
+        if d < 2:
+            raise UsageError(f"degree must be >= 2, got {d}")
+        if d > MAX_DEGREE:
+            raise UsageError(f"degree must be <= {MAX_DEGREE}, got {d}")
+        degrees.append(d)
     if not degrees:
         raise UsageError("at least one degree is required")
     return sorted(set(degrees))
@@ -86,12 +87,7 @@ def _parse_degrees(raw: list[str]) -> list[int]:
 def _parse_checks(raw: list[str] | None) -> list[str]:
     if raw is None:
         return list(CHECK_NAMES)
-    names = []
-    for chunk in raw:
-        for item in chunk.split(","):
-            item = item.strip()
-            if item:
-                names.append(item)
+    names = _split_list(raw)
     if not names:
         raise UsageError("at least one check is required")
     unknown = [n for n in names if n not in CHECK_NAMES]

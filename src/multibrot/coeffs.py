@@ -64,6 +64,8 @@ def vanishes_by_divisibility(d: int, m: int) -> bool:
 
     Never true for d = 2; true at m = 0 for every d >= 3.
     """
+    if d < 2:
+        raise ValueError("degree d must be >= 2")
     return (m + 1) % (d - 1) != 0
 
 
@@ -106,7 +108,7 @@ def coefficient_by_residue(d: int, m: int, n: int | None = None):
         n = choose_n(d, m)
     _check_order(d, m, n)
     q = _iterated_polynomial(d, n)
-    return -rational_power_tail(q, rational(m, d**n), m + 1)[m + 1] / m
+    return -rational_power_tail(q, rational(m, d**n), m + 1) / m
 
 
 def partition_index_tuples(d, n, target):
@@ -293,6 +295,8 @@ def zero_census(d: int, m_max: int):
     the last index the criterion leaves open (none when it leaves none
     open); no pattern beyond the divisibility criterion is assumed.
     """
+    if d < 2:
+        raise ValueError("degree d must be >= 2")
     if m_max < 0:
         raise ValueError("m_max must be >= 0")
     top = (m_max + 1) // (d - 1) * (d - 1) - 1

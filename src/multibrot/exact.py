@@ -222,10 +222,3 @@ def binomial_general(a, j: int):
     for i in range(j):
         numerator *= p - i * q
     return rational(numerator, math.factorial(j) * q**j)
-
-
-def floor_rational(x) -> int:
-    """Exact floor of a rational (ints pass through)."""
-    if isinstance(x, int):
-        return x
-    return math.floor(x)

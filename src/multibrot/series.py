@@ -9,8 +9,8 @@ series in w = 1/z with exact rational coefficients.
 Those coefficients are computed on Python ints: the recurrence runs on
 the terms times one common denominator, which grows as the terms need
 it and may only contain primes of the exponent's denominator (any other
-prime is an ``ArithmeticError``); the rationals are built once, at the
-end.
+prime is an ``ArithmeticError``); the one term asked for becomes a
+rational at the end.
 """
 
 from __future__ import annotations
@@ -56,12 +56,12 @@ def iterate_parameter_polynomial(d: int, n: int) -> tuple[int, ...]:
     return q
 
 
-def rational_power_tail(q_coeffs, exponent, order: int) -> tuple:
-    """Expand Q(z)^exponent at infinity, truncated after ``order`` tail terms.
+def rational_power_tail(q_coeffs, exponent, order: int):
+    """Tail term ``order`` of the expansion of Q(z)^exponent at infinity.
 
     Q must be monic of some degree D and exponent * D must be an integer
     m, so that Q(z)^exponent = z^m * sum(f_k z^-k); the result is the
-    tuple (f_0, ..., f_order), with f_0 = 1.  Writing Q(z) = z^D (1 + u) with
+    rational f_order (f_0 = 1).  Writing Q(z) = z^D (1 + u) with
     u a polynomial in w = 1/z vanishing at w = 0, the tail is the
     binomial series (1 + u)^exponent mod w^(order+1), computed by the
     first-order recurrence obtained from f' (1+u) = exponent * u' f:
@@ -82,8 +82,8 @@ def rational_power_tail(q_coeffs, exponent, order: int) -> tuple:
     for d = 2, m = 299, where the a-priori bound order! * b^order has
     4442).  Every f_k is a sum of binomial terms in a/b, so that factor
     can only contain primes dividing b; any other prime means the
-    arithmetic went wrong and raises ``ArithmeticError``.  Each f_k is
-    returned as the rational g_k / S.
+    arithmetic went wrong and raises ``ArithmeticError``.  Only f_order
+    is returned, as the one rational g_order / S.
     """
     if order < 0:
         raise ValueError("truncation order must be >= 0")
@@ -128,4 +128,4 @@ def rational_power_tail(q_coeffs, exponent, order: int) -> tuple:
             g[:k] = [g_j * grow for g_j in g[:k]]
             acc *= grow
         g[k] = acc // bk
-    return tuple(rational(g_k, scale) for g_k in g)
+    return rational(g[order], scale)

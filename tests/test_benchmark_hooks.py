@@ -1,12 +1,17 @@
-"""The names the benchmark under ``perfbench/`` looks up in the package.
+"""The names the benchmark under ``perfbench/`` looks up in the package,
+and the command lines it runs.
 
 ``perfbench.trace.Tracer.install`` wraps a fixed list of functions by
 module and name, and ``perfbench/run.py`` reads a few more; renaming or
-deleting any of them breaks the benchmark, so it fails here first.
+deleting any of them breaks the benchmark, so it fails here first.  So
+does an option or option value that a workload or the reference
+recorder passes, such as ``--threads`` or a ``--method`` choice.
 """
 
 import sys
 from pathlib import Path
+
+import pytest
 
 import multibrot.cli as cli
 from multibrot import cache, checks, coeffs, exact, series
@@ -15,7 +20,15 @@ ROOT = Path(__file__).resolve().parents[1]
 if str(ROOT) not in sys.path:
     sys.path.insert(0, str(ROOT))
 
-from perfbench import trace  # noqa: E402
+from perfbench import make_reference, trace, workloads  # noqa: E402
+
+BENCHMARK_ARGV = [
+    *workloads.SWEEPS.values(),
+    workloads.SETUP_TABLE.argv,
+    *(workloads.request(kind, 2, 10, Path("table.csv")).argv
+      for kind in workloads.REQUEST_KINDS),
+    make_reference.CROSSCHECK,
+]
 
 
 def test_tracer_installs_and_uninstalls():
@@ -41,3 +54,9 @@ def test_names_the_benchmark_reads_exist():
     assert isinstance(coeffs._poly_cache, dict)
     assert isinstance(exact.GMP_BACKEND, bool)
     assert isinstance(coeffs.METHOD_SPECIAL, str)
+
+
+@pytest.mark.parametrize("argv", BENCHMARK_ARGV, ids=" ".join)
+def test_benchmark_argv_parses(argv):
+    args = cli.build_parser().parse_args(list(argv))
+    cli.normalize_args(args)

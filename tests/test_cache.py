@@ -47,12 +47,12 @@ def test_round_trip_many_records_bit_exact(tmp_path):
     assert path.read_bytes() == text_once
 
 
-def test_records_are_sorted_on_store(tmp_path):
-    path = tmp_path / "coeffs.csv"
-    path.write_text(format_table([(3, 1, rational(-1, 3)), (2, 5, rational(-47, 1024))]))
-    lines = path.read_text().splitlines()
-    assert lines[1].startswith("2,5,")
-    assert lines[2].startswith("3,1,")
+def test_unordered_rows_rejected_on_store():
+    # rows are written as given, so a later (d, m) before an earlier one is an error
+    for rows in ([(3, 1, rational(-1, 3)), (2, 5, rational(-47, 1024))],
+                 [(2, 5, rational(-47, 1024)), (2, 1, rational(1, 8))]):
+        with pytest.raises(ValueError, match="^rows not strictly increasing in"):
+            format_table(rows)
 
 
 def test_empty_file_is_empty_table(tmp_path):
@@ -149,7 +149,7 @@ def test_unsorted_payload_rejected():
 
 
 def test_conflicting_duplicates_rejected_on_store():
-    with pytest.raises(ValueError, match="conflicting"):
+    with pytest.raises(ValueError, match="^rows not strictly increasing in"):
         format_table([(2, 1, rational(1, 8)), (2, 1, rational(1, 4))])
 
 
@@ -170,9 +170,10 @@ def test_large_foreign_prime_in_denominator_rejected():
         parse_table(text)
 
 
-def test_agreeing_duplicates_collapse():
-    text = format_table([(2, 1, rational(1, 8)), (2, 1, rational(1, 8))])
-    assert text.count("2,1,1,8") == 1
+def test_agreeing_duplicates_rejected_on_store():
+    # each (d, m) is written once, even when both rows carry the same value
+    with pytest.raises(ValueError, match=r"^rows not strictly increasing in \(d, m\) at d=2, m=1$"):
+        format_table([(2, 1, rational(1, 8)), (2, 1, rational(1, 8))])
 
 
 # any d-adic rational is representable: numerator over a power of the degree

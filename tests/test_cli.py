@@ -491,12 +491,20 @@ class TestUsageErrors:
             ["compute", "--d", "2", "--m-max", "-1"],
             ["compute", "--d", "2", "--m-max", "5", "--threads", "0"],
             ["compute", "--d", "x", "--m-max", "5"],
+            ["compute", "--d", " ", "--m-max", "5"],
+            ["verify", "--m-max", "5", "--checks", ","],
         ],
     )
     def test_bad_values(self, capsys, argv):
         code, _, err = run(capsys, *argv)
         assert code == EXIT_USAGE
         assert err
+
+    def test_blank_list_items_are_skipped(self, capsys):
+        split = run(capsys, "compute", "--d", "2,,3", "--m-max", "5")
+        repeated = run(capsys, "compute", "--d", "2", "--d", " 3 ", "--m-max", "5")
+        assert split[0] == EXIT_OK
+        assert split == repeated
 
     @pytest.mark.parametrize("command", ["compute", "verify", "census", "bench"])
     def test_m_max_above_the_cap(self, capsys, command):

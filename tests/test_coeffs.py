@@ -3,7 +3,8 @@ import math
 
 import pytest
 
-from multibrot import coeffs, exact
+from multibrot import coeffs, exact, series
+from multibrot.checks import check_main, suite_verdicts
 from multibrot.coeffs import (
     METHOD_COMBINATORIAL,
     METHOD_RESIDUE,
@@ -108,6 +109,22 @@ class TestResidueRoute:
             coefficient_by_residue(2, 5, 1)  # 5 > 2^2 - 3
         with pytest.raises(ValueError):
             coefficient_by_residue(2, 1, 0)
+
+    def test_builds_a_bounded_number_of_rationals(self, monkeypatch):
+        # the series builds the exponent and the one tail term it returns,
+        # however many terms the recurrence runs through
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return rational(*args)
+
+        monkeypatch.setattr(series, "rational", counting)
+        for d in (2, 3, 5):
+            for m in range(1, 41):
+                before = len(calls)
+                coefficient_by_residue(d, m)
+                assert len(calls) - before == 2, (d, m)
 
 
 class TestPartitionIndexTuples:
@@ -330,6 +347,18 @@ class TestVanishesByDivisibility:
     def test_degree_four(self):
         # (d-1) = 3 divides m+1 exactly at m = 2, 5, 8, ...
         assert [m for m in range(10) if not vanishes_by_divisibility(4, m)] == [2, 5, 8]
+
+    @pytest.mark.parametrize("d", [1, 0, -1])
+    def test_degrees_below_two_are_value_errors(self, d):
+        # d = 1 would divide by d - 1 = 0 in every caller that reaches the criterion
+        with pytest.raises(ValueError, match="degree d must be >= 2"):
+            vanishes_by_divisibility(d, 3)
+        with pytest.raises(ValueError, match="degree d must be >= 2"):
+            zero_census(d, 5)
+        with pytest.raises(ValueError, match="degree d must be >= 2"):
+            suite_verdicts([d], 3, ["main"])
+        with pytest.raises(ValueError, match="degree d must be >= 2"):
+            check_main(d, 1, 0)
 
 
 class TestZeroCensus:

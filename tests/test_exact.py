@@ -12,7 +12,6 @@ from multibrot.exact import (
     binomial_general,
     factorial_valuation,
     factorize,
-    floor_rational,
     is_d_adic,
     is_prime,
     padic_valuation,
@@ -193,29 +192,6 @@ class TestBinomialGeneral:
             for i in range(j):
                 expected = expected * (a - i) / (i + 1)
             assert binomial_general(a, j) == expected
-
-
-class TestFloorIdentities:
-    @given(
-        x=st.fractions(min_value=-10**4, max_value=10**4, max_denominator=10**3),
-        m=st.integers(0, 10**4),
-    )
-    def test_integer_shift_is_exact(self, x, m):
-        assert floor_rational(x) + m == floor_rational(x + m)
-
-    @given(
-        x=st.fractions(min_value=-10**4, max_value=10**4, max_denominator=10**3),
-        y=st.fractions(min_value=-10**4, max_value=10**4, max_denominator=10**3),
-    )
-    def test_superadditive(self, x, y):
-        assert floor_rational(x) + floor_rational(y) <= floor_rational(x + y)
-
-    @given(
-        x=st.fractions(min_value=-10**4, max_value=10**4, max_denominator=10**3),
-        m=st.integers(1, 10**3),
-    )
-    def test_nested_division(self, x, m):
-        assert floor_rational(Fraction(floor_rational(x), m)) == floor_rational(x / m)
 
 
 class TestSignedInfinity:
