@@ -7,16 +7,16 @@ Text format, one record per line, bit-exact round-trip:
     ...
     #sha256:<hex>
 
-Integers are base 10, written as ``str`` writes an int (ASCII digits,
-a minus sign only on a negative numerator, no plus sign, leading zeros,
-underscores or spaces), so every record has one spelling and loading
-rejects any other; the denominator is positive and the fraction is in
-lowest terms, lines are sorted by (d, m), and the trailing checksum is
-the SHA-256 of the payload lines (each with its newline).  Loading
+A record matches one pattern: four comma-separated integers, each
+spelled as ``str`` spells an int (``0|-?[1-9][0-9]*``: ASCII digits, no
+plus sign, leading zeros, underscores or spaces); loading rejects any
+other spelling with ``fields not in canonical form``.  The degree is at
+most ``exact.MAX_DEGREE``, the denominator is positive and the fraction
+in lowest terms, lines are sorted by (d, m), and the trailing checksum
+is the SHA-256 of the payload lines (each with its newline).  Loading
 rejects any line whose denominator has a prime factor not dividing d:
 every genuine coefficient is a d-adic rational, so such a line can only
-be corruption.  Degrees above ``exact.MAX_DEGREE`` are rejected too,
-because factoring them for that test could take minutes.
+be corruption.
 
 Numerators and denominators grow past Python's int<->str digit cap
 (4300 digits by default) for large m, so the cap is lifted around the
@@ -26,6 +26,7 @@ conversions and put back afterwards.
 from __future__ import annotations
 
 import hashlib
+import re
 import sys
 from contextlib import contextmanager
 
@@ -33,6 +34,7 @@ from .exact import MAX_DEGREE, is_d_adic, rational
 
 HEADER = "#multibrot-coeffs v1"
 _CHECKSUM_PREFIX = "#sha256:"
+_RECORD = re.compile(",".join(["(0|-?[1-9][0-9]*)"] * 4))
 
 
 class CacheFormatError(ValueError):
@@ -72,11 +74,6 @@ def checksummed_text(header: str, lines) -> str:
     return "\n".join([header, *lines, _CHECKSUM_PREFIX + _payload_digest(lines)]) + "\n"
 
 
-def coefficient_line(d: int, m: int, value) -> str:
-    """The one spelling of a record; ``value`` is a rational or an int."""
-    return f"{d},{m},{value.numerator},{value.denominator}"
-
-
 @unlimited_int_digits()
 def format_table(rows) -> str:
     """Render (d, m, value) triples as the full table text (header,
@@ -89,7 +86,7 @@ def format_table(rows) -> str:
         if previous is not None and (d, m) <= previous:
             raise ValueError(f"rows not strictly increasing in (d, m) at d={d}, m={m}")
         previous = (d, m)
-        lines.append(coefficient_line(d, m, value))
+        lines.append(f"{d},{m},{value.numerator},{value.denominator}")
     return checksummed_text(HEADER, lines)
 
 
@@ -116,13 +113,10 @@ def parse_table(text: str) -> list[tuple[int, int, object]]:
     triples = []
     previous_key = None
     for offset, line in enumerate(payload, start=2):
-        fields = line.split(",")
-        if len(fields) != 4:
-            raise CacheFormatError(f"line {offset}: expected 4 comma-separated fields")
-        try:
-            d, m, num, den = (int(f) for f in fields)
-        except ValueError:
-            raise CacheFormatError(f"line {offset}: non-integer field") from None
+        record = _RECORD.fullmatch(line)
+        if record is None:
+            raise CacheFormatError(f"line {offset}: fields not in canonical form")
+        d, m, num, den = map(int, record.groups())
         if not 2 <= d <= MAX_DEGREE or m < 0:
             raise CacheFormatError(f"line {offset}: invalid indices d={d}, m={m}")
         if den <= 0:
@@ -130,8 +124,6 @@ def parse_table(text: str) -> list[tuple[int, int, object]]:
         value = rational(num, den)
         if value.denominator != den:
             raise CacheFormatError(f"line {offset}: {num}/{den} is not in lowest terms")
-        if line != coefficient_line(d, m, value):
-            raise CacheFormatError(f"line {offset}: fields not in canonical form")
         if not is_d_adic(den, d):
             raise CacheFormatError(
                 f"line {offset}: denominator {den} has a prime factor not dividing d={d}"

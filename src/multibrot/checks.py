@@ -32,7 +32,8 @@ passed and computes none.  ``CHECKS`` is the one place that declares at
 which (d, m) each check applies and whether it reads fully computed
 coefficients; ``suite_verdicts`` reads it through ``applicable`` and
 sweeps each degree once before any check runs, and every ``check_*``
-function raises ``ValueError`` where it says the check does not apply.
+function raises ``ValueError`` where it says the check does not apply
+and at every (d, m) that indexes no coefficient.
 """
 
 from __future__ import annotations
@@ -96,7 +97,14 @@ def _bound_verdict(check, d, m, p, bound, attained, equality_predicted=None):
     )
 
 
+def _require_int(name, value, least):
+    if not isinstance(value, int) or value < least:
+        raise ValueError(f"{name} must be >= {least} and an int, got {value!r}")
+
+
 def _require(name, d, m):
+    _require_int("degree d", d, 2)
+    _require_int("index m", m, 0)
     if not CHECKS[name].applies(d, m):
         raise ValueError(f"check {name!r} does not apply at d={d}, m={m}")
 
@@ -115,6 +123,7 @@ def check_main(d: int, m: int, value) -> list[Verdict]:
 
 
 def check_zagier(m: int, value) -> Verdict:
+    _require("zagier", 2, m)
     bound = factorial_valuation(2 * m + 2, 2)
     attained = denominator_exponent(value, 2)
     equality_predicted = m == 0 or m % 2 == 1
@@ -122,6 +131,7 @@ def check_zagier(m: int, value) -> Verdict:
 
 
 def check_ewing_schober(m: int, value) -> Verdict:
+    _require("ewing-schober", 2, m)
     attained = denominator_exponent(value, 2)
     return _bound_verdict("ewing-schober", 2, m, 2, 2 * m + 1, attained)
 
@@ -180,6 +190,7 @@ def check_integrality(d: int, m: int, value) -> Verdict:
 
 def check_dadic(d: int, m: int, value) -> Verdict:
     """Every prime factor of the denominator divides d."""
+    _require("dadic", d, m)
     passed = is_d_adic(value.denominator, d)
     return Verdict("dadic", d, m, None, None, None, None, None, passed)
 
@@ -227,6 +238,9 @@ def applicable(degrees, m_max: int, checks):
     unknown = [c for c in checks if c not in CHECKS]
     if unknown:
         raise ValueError(f"unknown check names: {', '.join(unknown)}")
+    for d in degrees:
+        _require_int("degree d", d, 2)
+    _require_int("m_max", m_max, 0)
     for name in dict.fromkeys(checks):
         applies = CHECKS[name].applies
         for d in sorted(set(degrees)):

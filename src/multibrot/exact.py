@@ -191,20 +191,16 @@ def _trial_division(d: int) -> tuple[tuple[int, int], ...]:
     return tuple(factors)
 
 
-@functools.lru_cache(maxsize=1024, typed=True)
-def _radical(d: int) -> int:
-    # typed, so that a float d misses the int's entry and factorize rejects it
-    return math.prod(p for p, _ in factorize(d))
-
-
 def is_d_adic(den: int, d: int) -> bool:
     """Whether every prime factor of the positive integer den divides d.
 
-    Exactly then den divides rad(d)^e, with rad(d) the product of d's
-    primes and e at least every exponent in den; den's bit length is
-    such an e, so one modular power decides it however large den is.
+    Exactly then den divides d^e for e = den's bit length (no exponent in
+    den exceeds it), so one modular power decides it without factoring d,
+    however large den is.  Raises ``ValueError`` unless d is an int >= 2.
     """
-    return pow(_radical(d), den.bit_length(), den) == 0
+    if not isinstance(d, int) or d < 2:
+        raise ValueError(f"d must be an integer >= 2, got {d!r}")
+    return pow(d, den.bit_length(), den) == 0
 
 
 def binomial_general(a, j: int):

@@ -81,9 +81,9 @@ def rational_power_tail(q_coeffs, exponent, order: int):
     the least common denominator of the terms computed so far (597 bits
     for d = 2, m = 299, where the a-priori bound order! * b^order has
     4442).  Every f_k is a sum of binomial terms in a/b, so that factor
-    can only contain primes dividing b; any other prime means the
-    arithmetic went wrong and raises ``ArithmeticError``.  Only f_order
-    is returned, as the one rational g_order / S.
+    divides b^e for e its bit length, which one modular power tests; any
+    other factor (every one when b = 1) raises ``ArithmeticError``.  Only
+    f_order is returned, as the one rational g_order / S.
     """
     if order < 0:
         raise ValueError("truncation order must be >= 0")
@@ -116,10 +116,7 @@ def rational_power_tail(q_coeffs, exponent, order: int):
             acc += (v_i - bk * u_i) * g[k - i]
         grow = bk // gcd(acc, bk)
         if grow > 1:
-            rest = grow
-            while (common := gcd(rest, b)) > 1:
-                rest //= common
-            if rest != 1:
+            if pow(b, grow.bit_length(), grow) != 0:
                 raise ArithmeticError(
                     f"tail term {k} of the power {alpha} has a denominator prime "
                     f"not dividing {b}"

@@ -1,5 +1,7 @@
 import hashlib
+import random
 import sys
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
@@ -12,7 +14,7 @@ from multibrot.cache import (
     load_coefficients,
     parse_table,
 )
-from multibrot.exact import rational
+from multibrot.exact import MAX_DEGREE, rational
 
 
 def _with_payload(lines):
@@ -214,3 +216,54 @@ def test_single_character_corruption_never_silently_changes_values(position, rep
         return
     # mutations in insignificant whitespace may survive; values must not move
     assert parsed == rows
+
+
+def _old_per_field_rule(line):
+    """The record rule before it became one pattern: split on commas,
+    int() each field, check the value, then require the spelling that
+    formatting gives back.  The triple, or None where a line is refused."""
+    fields = line.split(",")
+    if len(fields) != 4:
+        return None
+    try:
+        d, m, num, den = (int(f) for f in fields)
+    except ValueError:
+        return None
+    if not 2 <= d <= MAX_DEGREE or m < 0 or den <= 0 or gcd(num, den) != 1:
+        return None
+    if line != f"{d},{m},{num},{den}":
+        return None
+    rest = den
+    while (common := gcd(rest, d)) > 1:
+        rest //= common
+    return (d, m, rational(num, den)) if rest == 1 else None
+
+
+_TOKENS = [*"0123456789" * 4, "-", "+", "_", " ", "\u0663", "00"]
+
+
+def _random_line(rng):
+    return ",".join("".join(rng.choices(_TOKENS, k=rng.randint(1, 3)))
+                    for _ in range(rng.randint(3, 5)))
+
+
+def test_acceptance_set_matches_the_per_field_rule():
+    rng = random.Random(20131)
+    accepted = 0
+    for _ in range(20000):
+        line = _random_line(rng)
+        expected = _old_per_field_rule(line)
+        try:
+            rows = parse_table(_with_payload([line]))
+        except CacheFormatError:
+            assert expected is None, line
+            continue
+        assert rows == [expected], line
+        accepted += 1
+    assert 100 < accepted < 19000  # both outcomes are exercised
+
+
+@pytest.mark.parametrize("line", ["2,0,-1", "2,0,-1,2,0", "2,x,1,8"])
+def test_field_count_and_non_integer_fields_are_not_canonical(line):
+    with pytest.raises(CacheFormatError, match="^line 3: fields not in canonical form$"):
+        parse_table(_with_payload(["2,0,-1,2", line]))

@@ -406,3 +406,42 @@ class TestReportFormat:
     def test_report_is_deterministic(self, values):
         verdicts = suite_verdicts([2, 3], 12, ["main", "vanishing"], values)
         assert format_report(verdicts) == format_report(list(reversed(verdicts)))
+
+
+@pytest.mark.parametrize("call", [
+    lambda v: check_zagier(-1, v),
+    lambda v: check_ewing_schober(-1, v),
+    lambda v: check_levin(-1, v),
+    lambda v: check_main(2, -1, v),
+    lambda v: check_integrality(2, -1, v),
+    lambda v: check_yamashita(2, -1, v),
+    lambda v: check_vanishing(3, -2, v),
+    lambda v: check_dadic(2, -5, v),
+    lambda v: check_dadic(1, 3, v),
+    lambda v: check_main(2.0, 1, v),
+    lambda v: check_zagier(1.0, v),
+], ids=["zagier", "ewing-schober", "levin", "main", "integrality", "yamashita",
+        "vanishing", "dadic", "dadic-d1", "main-float-d", "zagier-float-m"])
+def test_checks_reject_indices_that_do_not_exist(call):
+    # b_m exists for integer d >= 2 and m >= 0 only; a verdict at any
+    # other index would judge a coefficient that is not there
+    with pytest.raises(ValueError):
+        call(rational(1, 2))
+
+
+@pytest.mark.parametrize("degrees, m_max, names", [
+    ([1], 3, ["zagier"]),
+    ([1], 3, ["levin"]),
+    ([1], 3, ["yamashita"]),
+    ([0], 3, ["zagier"]),
+    ([0], 3, ["dadic"]),
+    ([2, 1], 3, ["ewing-schober"]),
+    ([2], -1, ["zagier"]),
+    ([2], -1, list(CHECK_NAMES)),
+    ([2.0], 3, ["zagier"]),
+    ([2], 3.0, ["zagier"]),
+])
+def test_suite_rejects_indices_that_do_not_exist(degrees, m_max, names):
+    # rejected before any check's `applies` is read and before any sweep
+    with pytest.raises(ValueError, match="must be >= "):
+        suite_verdicts(degrees, m_max, names)

@@ -2,6 +2,7 @@ import argparse
 import hashlib
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import multibrot
-from multibrot import cache, exact
+from multibrot import cache, cli, exact
 from multibrot.cli import (
     EXIT_IO,
     EXIT_OK,
@@ -591,3 +592,21 @@ class TestParserReuse:
             code, out, _ = run(capsys, *argv)
             assert code == EXIT_OK and out, argv
         assert made == []
+
+
+def _readme_cli_lines():
+    """The ``multibrot ...`` lines of the first block under README's ## CLI."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("\n## CLI\n", 1)[1].split("```", 2)[1]
+    return [line for line in block.splitlines() if line.startswith("multibrot ")]
+
+
+def test_readme_cli_block_is_not_empty():
+    assert len(_readme_cli_lines()) >= 6
+
+
+@pytest.mark.parametrize("line", _readme_cli_lines())
+def test_readme_cli_line_parses(line):
+    # a renamed option or --method value fails here before the docs go stale
+    args = cli.build_parser().parse_args(shlex.split(line)[1:])
+    cli.normalize_args(args)

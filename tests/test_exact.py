@@ -237,3 +237,33 @@ def test_rational_interoperates_with_fraction():
     assert rational(1, 8) == Fraction(1, 8)
     assert rational(-2, 4) == Fraction(-1, 2)
     assert rational(Fraction(7, 25)) == rational(7, 25)
+
+
+class TestIsDAdicByOneModularPower:
+    @pytest.fixture
+    def no_factoring(self, monkeypatch):
+        def refuse(d):
+            raise AssertionError(f"factored {d}")
+        monkeypatch.setattr(exact, "factorize", refuse)
+        monkeypatch.setattr(exact, "_trial_division", refuse)
+
+    @pytest.mark.parametrize("d", [2**40 * 3, 10**12 + 39])
+    def test_never_factorizes_the_degree(self, no_factoring, d):
+        # degrees no other test asks about, so no memoized factorization
+        # of them can exist; 7 divides neither
+        assert is_d_adic(1, d)
+        assert is_d_adic(d, d)
+        assert is_d_adic(d**5, d)
+        assert not is_d_adic(7 * d, d)
+        assert not is_d_adic(7, d)
+
+    def test_composite_degree_without_factoring(self, no_factoring):
+        d = 2**40 * 3
+        assert is_d_adic(2**123, d) and is_d_adic(3**200, d)
+        assert is_d_adic(2**7 * 3**90, d)
+        assert not is_d_adic(2**7 * 3**90 * 5, d)
+
+    @pytest.mark.parametrize("d", [1, 0, -4, 2.0, "2", None])
+    def test_degrees_that_are_not_ints_from_two_are_value_errors(self, d):
+        with pytest.raises(ValueError):
+            is_d_adic(3, d)

@@ -162,3 +162,11 @@ def test_poly_eval_matches_direct_iteration():
             for _ in range(n):
                 v = v**d + z
             assert poly_eval(q, z) == v
+
+
+def test_integer_exponent_admits_no_scale_growth(monkeypatch):
+    # with b = 1 the terms are integers, so any growth factor at all is
+    # an arithmetic error (b^e mod grow is 1, never 0)
+    monkeypatch.setattr(series, "gcd", lambda x, y: 1)
+    with pytest.raises(ArithmeticError):
+        rational_power_tail((0, 1, 1), 2, 3)
