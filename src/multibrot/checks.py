@@ -50,6 +50,7 @@ from .exact import (
     is_d_adic,
     is_prime,
     padic_valuation,
+    require_int,
 )
 from . import coeffs
 from .coeffs import vanishes_by_divisibility
@@ -97,14 +98,9 @@ def _bound_verdict(check, d, m, p, bound, attained, equality_predicted=None):
     )
 
 
-def _require_int(name, value, least):
-    if not isinstance(value, int) or value < least:
-        raise ValueError(f"{name} must be >= {least} and an int, got {value!r}")
-
-
 def _require(name, d, m):
-    _require_int("degree d", d, 2)
-    _require_int("index m", m, 0)
+    require_int("degree d", d, 2)
+    require_int("index m", m, 0)
     if not CHECKS[name].applies(d, m):
         raise ValueError(f"check {name!r} does not apply at d={d}, m={m}")
 
@@ -239,8 +235,8 @@ def applicable(degrees, m_max: int, checks):
     if unknown:
         raise ValueError(f"unknown check names: {', '.join(unknown)}")
     for d in degrees:
-        _require_int("degree d", d, 2)
-    _require_int("m_max", m_max, 0)
+        require_int("degree d", d, 2)
+    require_int("m_max", m_max, 0)
     for name in dict.fromkeys(checks):
         applies = CHECKS[name].applies
         for d in sorted(set(degrees)):

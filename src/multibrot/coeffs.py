@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass
 from operator import mul
 
-from .exact import ZERO, rational
+from .exact import ZERO, rational, require_int
 from .series import iterate_parameter_polynomial, rational_power_tail
 
 METHOD_RESIDUE = "residue"
@@ -64,8 +64,8 @@ def vanishes_by_divisibility(d: int, m: int) -> bool:
 
     Never true for d = 2; true at m = 0 for every d >= 3.
     """
-    if d < 2:
-        raise ValueError("degree d must be >= 2")
+    require_int("degree d", d, 2)
+    require_int("index m", m, 0)
     return (m + 1) % (d - 1) != 0
 
 
@@ -73,28 +73,19 @@ def choose_n(d: int, m: int) -> int:
     """Smallest iteration order n >= 1 whose series window covers index m.
 
     The residue and partition-sum formulas are valid for
-    1 <= m <= d^(n+1) - 3.
+    1 <= m <= d^(n+1) - 3, a window that grows with n; this is the one
+    place that spells it.
     """
-    if d < 2:
-        raise ValueError("degree d must be >= 2")
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    require_int("degree d", d, 2)
+    require_int("index m", m, 1)
     n = 1
-    bound = d * d - 3
-    while m > bound:
+    while m > d ** (n + 1) - 3:
         n += 1
-        bound = d ** (n + 1) - 3
     return n
 
 
 def _check_order(d, m, n):
-    if n < 1:
-        raise ValueError("iteration order n must be >= 1")
-    if not 1 <= m <= d ** (n + 1) - 3:
-        raise ValueError(
-            f"index m={m} outside the admissible range 1 <= m <= {d}^{n + 1} - 3 "
-            f"for iteration order n={n}"
-        )
+    require_int("iteration order n", n, choose_n(d, m))
 
 
 def coefficient_by_residue(d: int, m: int, n: int | None = None):
@@ -116,8 +107,12 @@ def partition_index_tuples(d, n, target):
 
     Yields lexicographically, pruning each branch by remaining weight;
     the enumeration order fixes the downstream summation order so runs
-    are diffable.
+    are diffable.  The arguments are checked at the call, not at the
+    first tuple.
     """
+    require_int("degree d", d, 2)
+    require_int("iteration order n", n, 1)
+    require_int("target", target, 0)
     weights = [d ** (n - k + 1) - 1 for k in range(1, n + 1)]
 
     def descend(k, remaining, prefix):
@@ -130,7 +125,7 @@ def partition_index_tuples(d, n, target):
         for j in range(remaining // w + 1):
             yield from descend(k + 1, remaining - j * w, prefix + (j,))
 
-    yield from descend(0, target, ())
+    return descend(0, target, ())
 
 
 def coefficient_by_partition_sum(d: int, m: int, n: int):
@@ -210,10 +205,8 @@ def coefficients_by_sweep(d: int, m_max: int) -> list:
     vanishing shortcut; terms are skipped only where level k is zero by
     the recurrence above.
     """
-    if d < 2:
-        raise ValueError("degree d must be >= 2")
-    if m_max < 0:
-        raise ValueError("m_max must be >= 0")
+    require_int("degree d", d, 2)
+    require_int("m_max", m_max, 0)
     scale = 4 if d == 2 else d
     top = m_max + 1
     levels = choose_n(d, max(m_max, 1))
@@ -239,10 +232,8 @@ def coefficients_by_sweep(d: int, m_max: int) -> list:
             if rem:
                 raise ArithmeticError(f"column {j}, level {k}: inexact division by {j}")
             return r
-    k_star = 1
     for j in range(1, top + 1):
-        if j > d ** (k_star + 1) - 2:
-            k_star += 1
+        k_star = choose_n(d, max(j - 1, 1))
         # beta_{k,j} - d^k b_{j-1} and H_{k,j} - d beta_{k,j}, per level
         provisional, rests, p = [], [], 0
         for k in range(k_star):
@@ -269,10 +260,8 @@ def laurent_coefficient(d: int, m: int, *, method: str = METHOD_RESIDUE) -> Coef
     coefficient vanishes identically, and that zero is recorded without
     series work; ``coefficient_by_residue`` computes it in full.
     """
-    if d < 2:
-        raise ValueError("degree d must be >= 2")
-    if m < 0:
-        raise ValueError("m must be >= 0")
+    require_int("degree d", d, 2)
+    require_int("index m", m, 0)
     if method not in (METHOD_RESIDUE, METHOD_COMBINATORIAL):
         raise ValueError(f"unknown method {method!r}")
     if m == 0:
@@ -295,10 +284,8 @@ def zero_census(d: int, m_max: int):
     the last index the criterion leaves open (none when it leaves none
     open); no pattern beyond the divisibility criterion is assumed.
     """
-    if d < 2:
-        raise ValueError("degree d must be >= 2")
-    if m_max < 0:
-        raise ValueError("m_max must be >= 0")
+    require_int("degree d", d, 2)
+    require_int("m_max", m_max, 0)
     top = (m_max + 1) // (d - 1) * (d - 1) - 1
     values = coefficients_by_sweep(d, top) if top >= 0 else []
     zeros = []

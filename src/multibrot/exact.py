@@ -13,6 +13,10 @@ stays because it is public API, because the series and partition-sum
 tests use it as an oracle, and because ``perfbench/trace.py`` looks it
 up by name without a default, so removing it would break traced runs.
 
+The library's integer arguments (degrees, indices, orders, bounds) pass
+through ``require_int``: one that is not an int, or is below its least
+admissible value, raises one ``ValueError`` naming the argument.
+
 Valuations take values in the integers extended by infinity:
 ``padic_valuation(0, p)`` is ``POS_INF``, and the negated valuation of a
 zero coefficient downstream is ``NEG_INF``.  Infinities are distinct
@@ -95,6 +99,12 @@ NEG_INF = SignedInfinity(-1)
 ExtendedInt = Union[int, SignedInfinity]
 
 
+def require_int(name: str, value, least: int) -> None:
+    """Raise ``ValueError`` unless value is an int no smaller than least."""
+    if not isinstance(value, int) or value < least:
+        raise ValueError(f"{name} must be >= {least} and an int, got {value!r}")
+
+
 @functools.lru_cache(maxsize=1024)
 def is_prime(p: int) -> bool:
     """Deterministic primality by the trial division that ``factorize``
@@ -152,8 +162,7 @@ def factorial_valuation(m: int, p: int) -> int:
     terms vanish once p^l > m.
     """
     _require_prime(p)
-    if m < 0:
-        raise ValueError("m must be non-negative")
+    require_int("m", m, 0)
     total = 0
     q = p
     while q <= m:
@@ -168,8 +177,7 @@ def factorize(d: int) -> list[tuple[int, int]]:
     Trial division, done once per d: the checks ask for the factors of
     the same degree at every index.
     """
-    if not isinstance(d, int) or d < 2:
-        raise ValueError(f"d must be an integer >= 2, got {d!r}")
+    require_int("degree d", d, 2)
     return list(_trial_division(d))
 
 
@@ -196,10 +204,10 @@ def is_d_adic(den: int, d: int) -> bool:
 
     Exactly then den divides d^e for e = den's bit length (no exponent in
     den exceeds it), so one modular power decides it without factoring d,
-    however large den is.  Raises ``ValueError`` unless d is an int >= 2.
+    however large den is.
     """
-    if not isinstance(d, int) or d < 2:
-        raise ValueError(f"d must be an integer >= 2, got {d!r}")
+    require_int("degree d", d, 2)
+    require_int("den", den, 1)
     return pow(d, den.bit_length(), den) == 0
 
 
@@ -211,8 +219,7 @@ def binomial_general(a, j: int):
     prod(p - i*q) / prod((i+1)*q) over i < j; both products are taken
     on ints and reduced once.
     """
-    if j < 0:
-        raise ValueError("j must be non-negative")
+    require_int("j", j, 0)
     p, q = a.numerator, a.denominator
     numerator = 1
     for i in range(j):

@@ -18,7 +18,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from math import gcd
 
-from .exact import rational
+from .exact import rational, require_int
 
 
 def poly_mul(a, b):
@@ -38,10 +38,8 @@ def iterate_parameter_polynomial(d: int, n: int) -> tuple[int, ...]:
     Q_1(z) = z^d + z and Q_{k+1}(z) = Q_k(z)^d + z; the result is monic
     of degree d^n with zero constant term and z-coefficient 1.
     """
-    if d < 2:
-        raise ValueError("degree d must be >= 2")
-    if n < 1:
-        raise ValueError("iteration order n must be >= 1 (m = 0 has no series form)")
+    require_int("degree d", d, 2)
+    require_int("iteration order n", n, 1)
     q = [0] * (d + 1)
     q[1] = 1
     q[d] = 1
@@ -85,8 +83,7 @@ def rational_power_tail(q_coeffs, exponent, order: int):
     other factor (every one when b = 1) raises ``ArithmeticError``.  Only
     f_order is returned, as the one rational g_order / S.
     """
-    if order < 0:
-        raise ValueError("truncation order must be >= 0")
+    require_int("order", order, 0)
     degree = len(q_coeffs) - 1
     while degree > 0 and q_coeffs[degree] == 0:
         degree -= 1

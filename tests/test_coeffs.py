@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import pytest
 
@@ -177,11 +178,12 @@ def fraction_partition_sum(d, m, n):
 class TestPartitionSumRoute:
     @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
     def test_equals_fraction_reference(self, d):
+        # the reference at order n only: order n + 1 must give the same value
         for m in range(1, 121):
             n = choose_n(d, m)
-            for order in (n, n + 1):
-                assert coefficient_by_partition_sum(d, m, order) == \
-                    fraction_partition_sum(d, m, order), (d, m, order)
+            value = coefficient_by_partition_sum(d, m, n)
+            assert value == fraction_partition_sum(d, m, n), (d, m)
+            assert coefficient_by_partition_sum(d, m, n + 1) == value, (d, m)
 
     def test_builds_one_rational_per_index(self, monkeypatch):
         calls = []
@@ -250,6 +252,27 @@ class TestSweep:
             coefficients_by_sweep(1, 5)
         with pytest.raises(ValueError):
             coefficients_by_sweep(2, -1)
+
+
+def area_partial_sum(values):
+    """S_M = sum(m b_m^2 for m <= M) over the list [b_0, ..., b_M]."""
+    return sum(m * b * b for m, b in enumerate(values))
+
+
+class TestAreaTheorem:
+    # Gronwall's area theorem: area(M_d) = pi (1 - sum(m b_m^2)), so every
+    # partial sum S_M lies below 1.  The d = 2 set contains the main
+    # cardioid (area 3 pi / 8) and the period-2 disk (pi / 16), so there
+    # S_M <= 9/16.  A wrong numerator over the right denominator passes
+    # every valuation check but moves S_M.
+    def test_degree_two_to_m1000(self, degree_two_table_m1000):
+        values = [value for _, _, value in degree_two_table_m1000[1]]
+        assert len(values) == 1001
+        assert area_partial_sum(values) < rational(9, 16)  # S_1000 = 0.39578...
+
+    @pytest.mark.parametrize("d", [3, 4, 5, 6])
+    def test_degrees_three_to_six_to_m400(self, d):
+        assert area_partial_sum(coefficients_by_sweep(d, 400)) < 1
 
 
 class TestMethodAgreement:
@@ -443,3 +466,30 @@ class TestZeroCensus:
             3, 9, 21, 27, 45, 63, 81, 99, 117, 135, 153, 171, 189, 225, 243, 279,
             297, 333, 351, 387, 405, *range(459, 1972, 54),
         ]
+
+
+@pytest.mark.parametrize("call, args, name, least", [
+    (coefficients_by_sweep, (2.0, 3), "degree d", 2),
+    (coefficients_by_sweep, (2, 2.5), "m_max", 0),
+    (zero_census, (3, 4.0), "m_max", 0),
+    (coefficient_by_residue, (2.0, 3), "degree d", 2),
+    (coefficient_by_residue, (2, 3.0), "index m", 1),
+    (coefficient_by_residue, (2, 5, 1), "iteration order n", 2),
+    (coefficient_by_partition_sum, (1, 3, 1), "degree d", 2),
+    (laurent_coefficient, (2, 1.0), "index m", 0),
+    (partition_index_tuples, (2, 0, 3), "iteration order n", 1),
+    (partition_index_tuples, (2, 1, -2), "target", 0),
+    (choose_n, (2, 2.5), "index m", 1),
+    (vanishes_by_divisibility, (2.5, 3), "degree d", 2),
+    (vanishes_by_divisibility, (2, -1), "index m", 0),
+    (series.iterate_parameter_polynomial, (2.0, 1), "degree d", 2),
+    (series.rational_power_tail, ((0, 1, 1), rational(1, 2), 2.0), "order", 0),
+    (exact.factorial_valuation, (2.5, 2), "m", 0),
+    (exact.is_d_adic, (-8, 2), "den", 1),
+    (exact.is_d_adic, (0, 2), "den", 1),
+    (binomial_general, (rational(1, 2), 1.0), "j", 0),
+])
+def test_bad_arguments_are_one_value_error(call, args, name, least):
+    # one message for every integer argument, raised before any kernel runs
+    with pytest.raises(ValueError, match=f"^{re.escape(name)} must be >= {least} and an int, got "):
+        call(*args)
