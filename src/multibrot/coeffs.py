@@ -13,7 +13,11 @@ routes:
 * ``coefficient_by_partition_sum``: a finite sum of products of
   generalized binomial coefficients over weighted partitions of m + 1,
   obtained by unrolling the iteration one composition step at a time;
-  the products are summed as ints over one common denominator.
+  the products are summed as ints over one common denominator, walking
+  the tree of index tuples depth first.  ``partition_index_tuples``
+  enumerates the same tuples one by one; it is public API and the
+  enumeration the tests' ``Fraction`` reference sums over, not the
+  route's.
 
 Agreement of the two routes on every input is a tested invariant, as is
 independence of the choice of admissible iteration order n.
@@ -105,10 +109,9 @@ def coefficient_by_residue(d: int, m: int, n: int | None = None):
 def partition_index_tuples(d, n, target):
     """Non-negative (j_1..j_n) with sum((d^(n-k+1) - 1) * j_k) = target.
 
-    Yields lexicographically, pruning each branch by remaining weight;
-    the enumeration order fixes the downstream summation order so runs
-    are diffable.  The arguments are checked at the call, not at the
-    first tuple.
+    Yields lexicographically, pruning each branch by remaining weight,
+    the order in which ``coefficient_by_partition_sum`` walks them.  The
+    arguments are checked at the call, not at the first tuple.
     """
     require_int("degree d", d, 2)
     require_int("iteration order n", n, 1)
@@ -142,27 +145,59 @@ def coefficient_by_partition_sum(d: int, m: int, n: int):
     = (m+1)/(d-1).  The sum therefore runs on ints scaled by C and
     builds one rational at the end; a tuple whose denominator does not
     divide C raises ``ArithmeticError``.
+
+    The tuples are those of ``partition_index_tuples``, walked depth
+    first: each level hands its prefix numerator, denominator and shift
+    to the next, and grows its own falling product and j! D_k^j by one
+    factor per j.  A zero factor ends the level's loop, since every
+    larger j keeps it.  The last level's j is forced by the remaining
+    weight, and its product is memoized per call on (start, j).
     """
     _check_order(d, m, n)
     top = (m + 1) // (d - 1)
     common = math.factorial(top) * d**top
     steps = [d ** (n - k) for k in range(n)]
+    last = n - 1
+    path = [0] * n
+    tails = {}  # (start, j) -> the last level's (product, j! d^j)
     total = 0
-    for tup in partition_index_tuples(d, n, m + 1):
-        num, den, shift = 1, 1, 0
-        for step, j in zip(steps, tup):
-            start = m - shift * step
-            for i in range(j):
-                num *= start - i * step
-            if num == 0:
-                break
-            den *= math.factorial(j) * step**j
-            shift = d * (shift + j)
-        else:
+
+    def walk(k, remaining, num, den, shift):
+        nonlocal total
+        step = steps[k]
+        start = m - shift * step
+        if k == last:
+            j, r = divmod(remaining, step - 1)
+            if r:
+                return
+            key = (start, j)
+            if key not in tails:
+                tails[key] = (math.prod(range(start, start - j * step, -step)),
+                              math.factorial(j) * step**j)
+            product, scale = tails[key]
+            if product == 0:
+                return
+            den *= scale
             q, rem = divmod(common, den)
             if rem:
-                raise ArithmeticError(f"tuple {tup}: denominator {den} does not divide {common}")
-            total += num * q
+                path[k] = j
+                raise ArithmeticError(
+                    f"tuple {tuple(path)}: denominator {den} does not divide {common}")
+            total += num * product * q
+            return
+        weight = step - 1
+        for j in range(remaining // weight + 1):
+            if j:
+                factor = start - (j - 1) * step
+                if factor == 0:
+                    break
+                num *= factor
+                den *= j * step
+            path[k] = j
+            walk(k + 1, remaining - j * weight, num, den, d * (shift + j))
+
+    walk(0, m + 1, 1, 1, 0)
+    del walk  # it refers to itself; free it and its memo now, not at a collection
     return rational(-total, common * m)
 
 

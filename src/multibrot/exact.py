@@ -108,7 +108,11 @@ def require_int(name: str, value, least: int) -> None:
 @functools.lru_cache(maxsize=1024)
 def is_prime(p: int) -> bool:
     """Deterministic primality by the trial division that ``factorize``
-    runs, memoized: the checks ask it of the same degree at every index."""
+    runs, memoized: the checks ask it of the same degree at every index.
+
+    A non-int raises ``ValueError``; an int below 2 is not prime."""
+    if not isinstance(p, int):
+        raise ValueError(f"p must be an int, got {p!r}")
     return p >= 2 and _trial_division(p) == ((p, 1),)
 
 

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import math
 import re
@@ -184,6 +185,23 @@ class TestPartitionSumRoute:
             value = coefficient_by_partition_sum(d, m, n)
             assert value == fraction_partition_sum(d, m, n), (d, m)
             assert coefficient_by_partition_sum(d, m, n + 1) == value, (d, m)
+
+    @pytest.mark.parametrize("d, m, n", [(2, 253, 7), (2, 254, 8), (3, 727, 6)])
+    def test_equals_residue_route_at_level_boundaries(self, d, m, n):
+        # past the m <= 120 of the reference: the last index at order 7 and
+        # the first at order 8 for d = 2, the first at order 6 for d = 3
+        assert choose_n(d, m) == n
+        assert coefficient_by_partition_sum(d, m, n) == coefficient_by_residue(d, m)
+
+    def test_leaves_no_reference_cycle(self):
+        # the walk and its memo are freed at return, not at a later collection
+        gc.collect()
+        gc.disable()
+        try:
+            coefficient_by_partition_sum(2, 80, choose_n(2, 80))
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_builds_one_rational_per_index(self, monkeypatch):
         calls = []

@@ -134,6 +134,18 @@ class TestFactorize:
         assert [p for p, _ in factors] == sorted(p for p, _ in factors)
 
 
+class TestIsPrime:
+    @pytest.mark.parametrize("p", [2.5, 7.0, rational(7), "7", None])
+    def test_non_ints_are_value_errors(self, p):
+        assert is_prime(7)  # a memoized int does not answer for an equal non-int
+        with pytest.raises(ValueError, match="^p must be an int, got "):
+            is_prime(p)
+
+    @pytest.mark.parametrize("p", [1, 0, -7, True, False])
+    def test_ints_below_two_are_not_prime(self, p):
+        assert is_prime(p) is False
+
+
 class TestIsDAdic:
     def test_matches_dividing_out_each_prime(self):
         # the same loop also counts each prime's exponent for padic_valuation
