@@ -53,7 +53,6 @@ from .exact import (
     require_int,
 )
 from . import coeffs
-from .coeffs import vanishes_by_divisibility
 
 REPORT_HEADER = "#multibrot-verdicts v1"
 
@@ -143,7 +142,7 @@ def check_yamashita(p: int, m: int, value) -> Verdict:
     """Prime-degree bound in floor form, checked against the additive form."""
     _require("yamashita", p, m)
     attained = denominator_exponent(value, p)
-    if vanishes_by_divisibility(p, m):
+    if not _divisible(p, m):
         return _bound_verdict("yamashita", p, m, p, NEG_INF, attained, equality_predicted=True)
     a = (m + 1) // (p - 1)
     bound = factorial_valuation(p * m + p, p) // (p - 1)
@@ -208,8 +207,8 @@ class Check:
     full: bool = False
 
 
-def _divisible(d, m):
-    return not vanishes_by_divisibility(d, m)
+def _divisible(d, m):  # not vanishes_by_divisibility(d, m), on a d and m already guarded
+    return (m + 1) % (d - 1) == 0
 
 
 CHECKS = {
@@ -219,7 +218,7 @@ CHECKS = {
     "levin": Check(lambda d, m: d == 2 and m % 2 == 1, lambda d, m, v: [check_levin(m, v)]),
     "yamashita": Check(lambda d, m: is_prime(d), lambda d, m, v: [check_yamashita(d, m, v)]),
     "vanishing": Check(
-        lambda d, m: m >= 1 and vanishes_by_divisibility(d, m),
+        lambda d, m: m >= 1 and not _divisible(d, m),
         lambda d, m, v: [check_vanishing(d, m, v)],
         full=True,
     ),

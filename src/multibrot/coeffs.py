@@ -12,12 +12,13 @@ routes:
   quadrature.
 * ``coefficient_by_partition_sum``: a finite sum of products of
   generalized binomial coefficients over weighted partitions of m + 1,
-  obtained by unrolling the iteration one composition step at a time;
-  the products are summed as ints over one common denominator, walking
-  the tree of index tuples depth first.  ``partition_index_tuples``
-  enumerates the same tuples one by one; it is public API and the
-  enumeration the tests' ``Fraction`` reference sums over, not the
-  route's.
+  obtained by unrolling the iteration one composition step at a time.
+  The sum over a prefix's completions depends only on its state (level,
+  remaining weight, shift), so each state's subtree is summed once, as
+  an int over one common denominator, and memoized; the divisions by
+  each step's j! D^j are exact.  ``partition_index_tuples`` enumerates
+  the tuples one by one; it is public API and the enumeration the tests'
+  ``Fraction`` reference sums over, not the route's.
 
 Agreement of the two routes on every input is a tested invariant, as is
 independence of the choice of admissible iteration order n.
@@ -109,9 +110,10 @@ def coefficient_by_residue(d: int, m: int, n: int | None = None):
 def partition_index_tuples(d, n, target):
     """Non-negative (j_1..j_n) with sum((d^(n-k+1) - 1) * j_k) = target.
 
-    Yields lexicographically, pruning each branch by remaining weight,
-    the order in which ``coefficient_by_partition_sum`` walks them.  The
-    arguments are checked at the call, not at the first tuple.
+    Yields lexicographically, pruning each branch by remaining weight.
+    ``coefficient_by_partition_sum`` sums over the same tuples, but by
+    state, without listing them.  The arguments are checked at the call,
+    not at the first tuple.
     """
     require_int("degree d", d, 2)
     require_int("iteration order n", n, 1)
@@ -131,6 +133,11 @@ def partition_index_tuples(d, n, target):
     return descend(0, target, ())
 
 
+def _inexact(k, remaining, shift, j):
+    return ArithmeticError(f"state (level {k}, remaining {remaining}, shift {shift}): "
+                           f"inexact division at j = {j}")
+
+
 def coefficient_by_partition_sum(d: int, m: int, n: int):
     """Exact b_m as -1/m times a sum over weighted index tuples.
 
@@ -140,64 +147,78 @@ def coefficient_by_partition_sum(d: int, m: int, n: int):
 
         prod_k prod_{i<j_k} (m - s_k D_k - i D_k) / prod_k j_k! D_k^j_k.
 
-    Every such denominator divides C = T! d^T with T = (m+1)//(d-1):
-    sum_k j_k <= T, and sum_k (n-k+1) j_k <= sum_k (D_k-1) j_k / (d-1)
-    = (m+1)/(d-1).  The sum therefore runs on ints scaled by C and
-    builds one rational at the end; a tuple whose denominator does not
-    divide C raises ``ArithmeticError``.
+    The sum over all completions of a prefix depends only on its state
+    (level k, remaining weight r, shift s), because the next factor
+    starts at m - s D_k; so each state's subtree is summed once, as an
+    int times C = T! d^T with T = T(m+1), T(r) = r // (d-1), and
+    memoized per level.  With c_j the sum of the child state reached by
+    j_k = j, a state's sum is folded by Horner's rule,
 
-    The tuples are those of ``partition_index_tuples``, walked depth
-    first: each level hands its prefix numerator, denominator and shift
-    to the next, and grows its own falling product and j! D_k^j by one
-    factor per j.  A zero factor ends the level's loop, since every
-    larger j keeps it.  The last level's j is forced by the remaining
-    weight, and its product is memoized per call on (start, j).
+        c_0 + a_0 / b_0 (c_1 + a_1 / b_1 (c_2 + ...)),
+        a_i = m - s D_k - i D_k,  b_i = (i+1) D_k,
+
+    one product and one division by a small int per edge.  The fold
+    stops at the first zero a_i, which every larger j shares.
+
+    Those divisions are exact.  Every completion from remaining weight r
+    has a denominator dividing T(r)! d^T(r): at the last level j = T(r),
+    and (D_k-1)/(d-1) is an integer >= n-k+1, so an edge j takes r to r'
+    with T(r) - T(r') = j (D_k-1)/(d-1) >= j, and j! D_k^j divides
+    T(r)! d^T(r) / (T(r')! d^T(r')).  Each c_j is therefore a multiple of
+    C / (T(r')! d^T(r')) and so of j! D_k^j, and the division at b_j
+    leaves sum_{i>j} c_i prod_{j<=l<i} a_l / ((i!/j!) D_k^(i-j)), an int.
+    A remainder raises ``ArithmeticError`` naming the state.  The last
+    level's j is forced by r, and C / (j! d^j) is formed once per j.
+    The route builds one rational at the end.
     """
     _check_order(d, m, n)
     top = (m + 1) // (d - 1)
     common = math.factorial(top) * d**top
-    steps = [d ** (n - k) for k in range(n)]
     last = n - 1
-    path = [0] * n
-    tails = {}  # (start, j) -> the last level's (product, j! d^j)
-    total = 0
+    memo = [{} for _ in range(n)]  # per level: (remaining, shift) -> subtree sum times C
+    leaf_dens = [1]  # j! d^j for the last level's j = 0..T
+    for j in range(1, top + 1):
+        leaf_dens.append(leaf_dens[-1] * j * d)
+    leaf_quotients = {}  # j -> C / (j! d^j)
 
-    def walk(k, remaining, num, den, shift):
-        nonlocal total
-        step = steps[k]
-        start = m - shift * step
+    def subtree(k, remaining, shift):
         if k == last:
-            j, r = divmod(remaining, step - 1)
+            j, r = divmod(remaining, d - 1)
             if r:
-                return
-            key = (start, j)
-            if key not in tails:
-                tails[key] = (math.prod(range(start, start - j * step, -step)),
-                              math.factorial(j) * step**j)
-            product, scale = tails[key]
-            if product == 0:
-                return
-            den *= scale
-            q, rem = divmod(common, den)
-            if rem:
-                path[k] = j
-                raise ArithmeticError(
-                    f"tuple {tuple(path)}: denominator {den} does not divide {common}")
-            total += num * product * q
-            return
+                return 0
+            q = leaf_quotients.get(j)
+            if q is None:
+                q, r = divmod(common, leaf_dens[j])
+                if r:
+                    raise _inexact(k, remaining, shift, j)
+                leaf_quotients[j] = q
+            start = m - shift * d
+            return math.prod(range(start, start - j * d, -d)) * q
+        step = d ** (n - k)
+        start = m - shift * step
         weight = step - 1
-        for j in range(remaining // weight + 1):
-            if j:
-                factor = start - (j - 1) * step
-                if factor == 0:
-                    break
-                num *= factor
-                den *= j * step
-            path[k] = j
-            walk(k + 1, remaining - j * weight, num, den, d * (shift + j))
+        below = memo[k + 1]
+        top_j = remaining // weight
+        if start % step == 0 and 0 <= start // step < top_j:
+            top_j = start // step  # every larger j has the factor start - top_j * step = 0
+        children = []
+        for j in range(top_j + 1):
+            key = (remaining - j * weight, d * (shift + j))
+            child = below.get(key)
+            if child is None:
+                child = below[key] = subtree(k + 1, *key)
+            children.append(child)
+        total = 0  # Horner: child_j + (start - j step) / ((j+1) step) * (the sum past j)
+        for j in range(top_j, -1, -1):
+            if total:
+                total, r = divmod((start - j * step) * total, (j + 1) * step)
+                if r:
+                    raise _inexact(k, remaining, shift, j)
+            total += children[j]
+        return total
 
-    walk(0, m + 1, 1, 1, 0)
-    del walk  # it refers to itself; free it and its memo now, not at a collection
+    total = subtree(0, m + 1, 0)
+    del subtree  # it refers to itself; free it and its memo now, not at a collection
     return rational(-total, common * m)
 
 

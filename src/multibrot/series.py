@@ -75,13 +75,15 @@ def rational_power_tail(q_coeffs, exponent, order: int):
         b k g_k = sum_i (a*i - b(k-i)) u_i g_{k-i}.
 
     S starts at 1.  When b*k does not divide the right-hand side, S and
-    every earlier g_j are multiplied by the missing factor, so S stays
-    the least common denominator of the terms computed so far (597 bits
-    for d = 2, m = 299, where the a-priori bound order! * b^order has
-    4442).  Every f_k is a sum of binomial terms in a/b, so that factor
-    divides b^e for e its bit length, which one modular power tests; any
-    other factor (every one when b = 1) raises ``ArithmeticError``.  Only
-    f_order is returned, as the one rational g_order / S.
+    every earlier g_j are multiplied by the missing factor times
+    b^(bit length of k) as headroom, so that the next steps' factors are
+    mostly absorbed and the earlier terms are rescaled at few steps, not
+    at almost every one.  S is then a common denominator of the terms
+    computed so far, not the least one.  Every f_k is a sum of binomial
+    terms in a/b, so the missing factor divides b^e for e its bit length,
+    which one modular power tests; any other factor (every one when
+    b = 1) raises ``ArithmeticError``.  Only f_order is returned, as the
+    one rational g_order / S, which reduces to lowest terms.
     """
     require_int("order", order, 0)
     degree = len(q_coeffs) - 1
@@ -118,6 +120,7 @@ def rational_power_tail(q_coeffs, exponent, order: int):
                     f"tail term {k} of the power {alpha} has a denominator prime "
                     f"not dividing {b}"
                 )
+            grow *= b ** k.bit_length()
             scale *= grow
             g[:k] = [g_j * grow for g_j in g[:k]]
             acc *= grow

@@ -100,7 +100,8 @@ class TestResidueRoute:
 
     def test_any_admissible_order_gives_the_same_value(self):
         # Q_n and Q_{n+1} are different polynomial data, so agreement is also
-        # an oracle for the large indices the partition-sum route cannot reach.
+        # an oracle that needs no second route: past m ~ 1000 the partition
+        # sum takes seconds to minutes a call (d = 2: 11 s at m = 1021).
         for d, m in ((2, 1), (2, 3), (2, 5), (2, 11), (2, 150), (2, 200), (2, 260),
                      (3, 101), (3, 161)):
             n0 = choose_n(d, m)
@@ -186,12 +187,27 @@ class TestPartitionSumRoute:
             assert value == fraction_partition_sum(d, m, n), (d, m)
             assert coefficient_by_partition_sum(d, m, n + 1) == value, (d, m)
 
-    @pytest.mark.parametrize("d, m, n", [(2, 253, 7), (2, 254, 8), (3, 727, 6)])
+    @pytest.mark.parametrize("d, m, n", [
+        (2, 253, 7), (2, 254, 8), (2, 509, 8), (2, 510, 9), (3, 727, 6),
+        # about 11 s and 8 s for the partition sum
+        pytest.param(2, 1021, 9, marks=pytest.mark.slow),
+        pytest.param(2, 1022, 10, marks=pytest.mark.slow),
+    ])
     def test_equals_residue_route_at_level_boundaries(self, d, m, n):
-        # past the m <= 120 of the reference: the last index at order 7 and
-        # the first at order 8 for d = 2, the first at order 6 for d = 3
+        # past the m <= 120 of the reference: for d = 2 the last index at
+        # orders 7, 8 and 9 and the first at orders 8, 9 and 10, for d = 3
+        # the first at order 6
         assert choose_n(d, m) == n
         assert coefficient_by_partition_sum(d, m, n) == coefficient_by_residue(d, m)
+
+    def test_inexact_division_names_the_state(self, monkeypatch):
+        # with the factorial part of C = T! d^T gone, the first leaf reached
+        # (j = 0 above it, so j = T at the last level) is no longer exact
+        monkeypatch.setattr(coeffs.math, "factorial", lambda t: 1)
+        n = choose_n(2, 40)
+        with pytest.raises(ArithmeticError, match=rf"^state \(level {n - 1}, remaining 41, "
+                                                  rf"shift 0\): inexact division at j = 41$"):
+            coefficient_by_partition_sum(2, 40, n)
 
     def test_leaves_no_reference_cycle(self):
         # the walk and its memo are freed at return, not at a later collection
