@@ -30,11 +30,13 @@ import re
 import sys
 from contextlib import contextmanager
 
-from .exact import MAX_DEGREE, is_d_adic, rational
+from .exact import MAX_DEGREE, divides_power, rational
 
 HEADER = "#multibrot-coeffs v1"
 _CHECKSUM_PREFIX = "#sha256:"
-_RECORD = re.compile(",".join(["(0|-?[1-9][0-9]*)"] * 4))
+# Any run of canonical records, each with its newline: matched against a
+# whole payload, it ends where the first non-canonical line starts.
+_RECORDS = re.compile("(?:%s\n)*" % ",".join(["(?:0|-?[1-9][0-9]*)"] * 4))
 
 
 class CacheFormatError(ValueError):
@@ -60,18 +62,16 @@ def unlimited_int_digits():
         sys.set_int_max_str_digits(previous)
 
 
-def _payload_digest(lines) -> str:
-    """SHA-256 hex of the payload lines, each followed by its newline."""
-    digest = hashlib.sha256()
-    for line in lines:
-        digest.update(line.encode("utf-8") + b"\n")
-    return digest.hexdigest()
+def _payload_digest(body: str) -> str:
+    """SHA-256 hex of the payload: its lines, each followed by its newline."""
+    return hashlib.sha256(body.encode("utf-8")).hexdigest()
 
 
 def checksummed_text(header: str, lines) -> str:
     """The header, the payload lines and the ``#sha256:`` footer over them:
     the layout shared by coefficient tables and verification reports."""
-    return "\n".join([header, *lines, _CHECKSUM_PREFIX + _payload_digest(lines)]) + "\n"
+    body = "\n".join([*lines, ""])
+    return f"{header}\n{body}{_CHECKSUM_PREFIX}{_payload_digest(body)}\n"
 
 
 @unlimited_int_digits()
@@ -100,9 +100,9 @@ def parse_table(text: str) -> list[tuple[int, int, object]]:
         raise CacheFormatError(f"line 1: expected header {HEADER!r}")
     if len(lines) < 2 or not lines[-1].startswith(_CHECKSUM_PREFIX):
         raise CacheFormatError(f"line {len(lines)}: missing trailing {_CHECKSUM_PREFIX}<hex> line")
-    payload = lines[1:-1]
+    body = "\n".join([*lines[1:-1], ""])
 
-    computed = _payload_digest(payload)
+    computed = _payload_digest(body)
     recorded = lines[-1][len(_CHECKSUM_PREFIX):].strip()
     if recorded != computed:
         raise CacheChecksumError(
@@ -110,13 +110,12 @@ def parse_table(text: str) -> list[tuple[int, int, object]]:
             f"(recorded {recorded[:12]}..., computed {computed[:12]}...)"
         )
 
+    canonical = _RECORDS.match(body).end()
+    # the canonical records' fields in file order, taken four at a time
+    fields = map(int, body[:canonical].replace(",", " ").split())
     triples = []
     previous_key = None
-    for offset, line in enumerate(payload, start=2):
-        record = _RECORD.fullmatch(line)
-        if record is None:
-            raise CacheFormatError(f"line {offset}: fields not in canonical form")
-        d, m, num, den = map(int, record.groups())
+    for offset, (d, m, num, den) in enumerate(zip(fields, fields, fields, fields), start=2):
         if not 2 <= d <= MAX_DEGREE or m < 0:
             raise CacheFormatError(f"line {offset}: invalid indices d={d}, m={m}")
         if den <= 0:
@@ -124,7 +123,7 @@ def parse_table(text: str) -> list[tuple[int, int, object]]:
         value = rational(num, den)
         if value.denominator != den:
             raise CacheFormatError(f"line {offset}: {num}/{den} is not in lowest terms")
-        if not is_d_adic(den, d):
+        if not divides_power(den, d):
             raise CacheFormatError(
                 f"line {offset}: denominator {den} has a prime factor not dividing d={d}"
             )
@@ -133,6 +132,9 @@ def parse_table(text: str) -> list[tuple[int, int, object]]:
             raise CacheFormatError(f"line {offset}: records not sorted by (d, m)")
         previous_key = key
         triples.append((d, m, value))
+    if canonical < len(body):
+        # every record before the first non-canonical line has been judged
+        raise CacheFormatError(f"line {len(triples) + 2}: fields not in canonical form")
     return triples
 
 

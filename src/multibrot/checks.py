@@ -39,15 +39,16 @@ and at every (d, m) that indexes no coefficient.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import NamedTuple
 
 from .cache import checksummed_text
 from .exact import (
     NEG_INF,
     POS_INF,
+    divides_power,
     factorial_valuation,
     factorize,
-    is_d_adic,
     is_prime,
     padic_valuation,
     require_int,
@@ -57,8 +58,10 @@ from . import coeffs
 REPORT_HEADER = "#multibrot-verdicts v1"
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
+    """One check's judgement at one (d, m) and, for the per-prime
+    checks, one prime p; immutable, as a tuple is."""
+
     check: str
     d: int
     m: int
@@ -150,7 +153,7 @@ def check_yamashita(p: int, m: int, value) -> Verdict:
     equality_predicted = m == p - 2 or m % p != 0
     verdict = _bound_verdict("yamashita", p, m, p, bound, attained, equality_predicted)
     if not forms_agree:
-        verdict = replace(verdict, passed=False)
+        verdict = verdict._replace(passed=False)
     return verdict
 
 
@@ -176,7 +179,7 @@ def check_integrality(d: int, m: int, value) -> Verdict:
     bound = max(-(-(factorial_valuation(a, p) + t * a) // t) for p, t in factors)
     # smallest e >= 0 with value * d^e integral; +inf if no power of d clears it
     den = value.denominator
-    if is_d_adic(den, d):
+    if divides_power(den, d):
         attained = max(-(-padic_valuation(den, p) // t) for p, t in factors)
     else:
         attained = POS_INF
@@ -186,7 +189,7 @@ def check_integrality(d: int, m: int, value) -> Verdict:
 def check_dadic(d: int, m: int, value) -> Verdict:
     """Every prime factor of the denominator divides d."""
     _require("dadic", d, m)
-    passed = is_d_adic(value.denominator, d)
+    passed = divides_power(value.denominator, d)
     return Verdict("dadic", d, m, None, None, None, None, None, passed)
 
 

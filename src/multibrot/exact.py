@@ -16,6 +16,12 @@ up by name without a default, so removing it would break traced runs.
 The library's integer arguments (degrees, indices, orders, bounds) pass
 through ``require_int``: one that is not an int, or is below its least
 admissible value, raises one ``ValueError`` naming the argument.
+``divides_power`` is ``is_d_adic`` without those guards, for the table
+parser and the checks, which have checked both arguments already.
+
+At p = 2 valuations are read off the binary digits: ``padic_valuation``
+by the position of the lowest set bit, ``factorial_valuation`` by
+counting set bits.  Other primes divide by repeated squares of p.
 
 Valuations take values in the integers extended by infinity:
 ``padic_valuation(0, p)`` is ``POS_INF``, and the negated valuation of a
@@ -133,18 +139,23 @@ def padic_valuation(x, p: int) -> ExtendedInt:
     -2
     """
     _require_prime(p)
-    if x == 0:
+    numerator = x.numerator
+    if numerator == 0:
         return POS_INF
-    return _multiplicity(x.numerator, p) - _multiplicity(x.denominator, p)
+    return _multiplicity(numerator, p) - _multiplicity(x.denominator, p)
 
 
 def _multiplicity(n: int, p: int) -> int:
     """Exponent of p in the nonzero int n.
 
-    Divides out p, p^2, p^4, ... while each divides, then tries each of
+    For p = 2 it is the position of n's lowest set bit, which ``n & -n``
+    isolates in two's complement, negative n included.  Otherwise it
+    divides out p, p^2, p^4, ... while each divides, then tries each of
     those powers once more, largest first, so an exponent v costs about
     2*log2(v) big divisions instead of v.
     """
+    if p == 2:
+        return (n & -n).bit_length() - 1
     powers = []
     q = p
     while n % q == 0:
@@ -163,10 +174,13 @@ def factorial_valuation(m: int, p: int) -> int:
     """Exponent of the prime p in m!, by Legendre's formula.
 
     Computes sum(floor(m / p^l) for l >= 1); the sum is finite because
-    terms vanish once p^l > m.
+    terms vanish once p^l > m.  For p = 2 the sum equals m minus the
+    number of ones in m's binary digits.
     """
     _require_prime(p)
     require_int("m", m, 0)
+    if p == 2:
+        return m - m.bit_count()
     total = 0
     q = p
     while q <= m:
@@ -212,6 +226,12 @@ def is_d_adic(den: int, d: int) -> bool:
     """
     require_int("degree d", d, 2)
     require_int("den", den, 1)
+    return divides_power(den, d)
+
+
+def divides_power(den: int, d: int) -> bool:
+    """``is_d_adic`` without its argument guards, for callers that have
+    already checked that d >= 2 and den >= 1 are ints."""
     return pow(d, den.bit_length(), den) == 0
 
 

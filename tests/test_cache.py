@@ -166,6 +166,30 @@ def test_round_trip_above_the_int_str_digit_cap(tmp_path):
     assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
 
 
+def test_records_around_one_above_the_digit_cap_round_trip():
+    # the fields of every record are converted together; one past the
+    # 4300-digit cap must neither fail nor shift the line count
+    rows = [(2, 0, rational(-1, 2)), (2, 9999, rational(-(10**5000) - 1, 2**66439)),
+            (3, 1, rational(1, 3))]
+    text = format_table(rows)
+    assert parse_table(text) == rows
+    lines = text.splitlines()[1:-1]
+    with pytest.raises(CacheFormatError, match="^line 5: fields not in canonical form$"):
+        parse_table(_with_payload([*lines, "3,2,+1,9"]))
+
+
+@pytest.mark.parametrize("payload, message", [
+    (["2,0,-1,2", "2,1,2,16", "2,2,-1,4", "2,3,+15,128"],
+     "^line 3: 2/16 is not in lowest terms$"),
+    (["2,0,-1,2", "2,1,+1,8", "2,2,-1,4", "2,3,30,256"],
+     "^line 3: fields not in canonical form$"),
+])
+def test_first_faulty_line_in_file_order_is_reported(payload, message):
+    # a semantic fault before a non-canonical line, and the reverse
+    with pytest.raises(CacheFormatError, match=message):
+        parse_table(_with_payload(payload))
+
+
 def test_large_foreign_prime_in_denominator_rejected():
     text = format_table([(2, 9999, rational(1, 2**66439 * 3))])
     with pytest.raises(CacheFormatError, match="prime factor"):

@@ -384,6 +384,29 @@ class TestCacheRule:
         assert sweeps == [(2, 10)]  # only the uncached call swept
 
 
+class TestVerdict:
+    def test_fields_cannot_be_assigned(self, values):
+        v = check_zagier(4, values[2, 4])
+        with pytest.raises(AttributeError):
+            v.passed = False
+        assert v.passed
+
+    def test_field_names_and_order(self):
+        assert checks.Verdict._fields == (
+            "check", "d", "m", "p", "bound", "attained",
+            "equality_predicted", "equality_observed", "passed",
+        )
+
+    def test_yamashita_forced_failure_changes_only_passed(self, values):
+        # at p=3, m=9 the floor form 7 exceeds the additive form 5 + nu_3(5!) = 6
+        v = check_yamashita(3, 9, values[3, 9])
+        assert v.bound == 7 != 5 + factorial_valuation(5, 3)
+        plain = checks._bound_verdict("yamashita", 3, 9, 3, v.bound, v.attained,
+                                      v.equality_predicted)
+        assert plain.passed and not v.passed
+        assert v == plain._replace(passed=False)
+
+
 class TestReportFormat:
     def test_line_fields(self, values):
         v = check_zagier(4, values[2, 4])

@@ -80,6 +80,51 @@ class TestPadicValuation:
         assert reduced.numerator % 3 != 0 and reduced.denominator % 3 != 0
 
 
+def _multiplicity_by_division(n, p):
+    # the generic loop of exact._multiplicity, kept here as the oracle of
+    # its p = 2 bit-count path
+    powers = []
+    q = p
+    while n % q == 0:
+        n //= q
+        powers.append(q)
+        q *= q
+    v = (1 << len(powers)) - 1
+    for i in reversed(range(len(powers))):
+        if n % powers[i] == 0:
+            n //= powers[i]
+            v += 1 << i
+    return v
+
+
+# odd * 2^k with either sign: exponents and sizes to thousands of bits
+_nonzero_ints = st.builds(
+    lambda odd, k, sign: sign * (2 * odd + 1) << k,
+    st.integers(0, 2**4000), st.integers(0, 5000), st.sampled_from([1, -1]),
+)
+
+
+class TestValuationsAtTwo:
+    @given(n=_nonzero_ints)
+    def test_ints_match_the_division_loop(self, n):
+        assert padic_valuation(n, 2) == _multiplicity_by_division(n, 2)
+
+    @given(num=_nonzero_ints, den=_nonzero_ints)
+    def test_rationals_match_the_division_loop(self, num, den):
+        x = rational(num, abs(den))
+        expected = (_multiplicity_by_division(x.numerator, 2)
+                    - _multiplicity_by_division(x.denominator, 2))
+        assert padic_valuation(x, 2) == expected
+
+    @given(m=st.integers(0, 10**4))
+    def test_factorial_matches_legendre_sum(self, m):
+        assert factorial_valuation(m, 2) == sum(m >> k for k in range(1, m.bit_length() + 1))
+
+    @pytest.mark.parametrize("m", [10**30 - 1, 10**30, 10**30 + 1, 2**100 - 1, 2**100])
+    def test_factorial_near_ten_to_the_thirty(self, m):
+        assert factorial_valuation(m, 2) == sum(m >> k for k in range(1, m.bit_length() + 1))
+
+
 class TestFactorialValuation:
     def test_small_cases(self):
         assert factorial_valuation(4, 2) == 3
