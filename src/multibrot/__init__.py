@@ -14,7 +14,6 @@ from .exact import (
     NEG_INF,
     POS_INF,
     ExtendedInt,
-    SignedInfinity,
     binomial_general,
     factorial_valuation,
     factorize,
@@ -64,7 +63,6 @@ __all__ = [
     "NEG_INF",
     "POS_INF",
     "ExtendedInt",
-    "SignedInfinity",
     "binomial_general",
     "factorial_valuation",
     "factorize",

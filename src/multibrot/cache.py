@@ -20,7 +20,7 @@ be corruption.
 
 Numerators and denominators grow past Python's int<->str digit cap
 (4300 digits by default) for large m, so the cap is lifted around the
-conversions and put back afterwards.
+conversions and put back when the last concurrent holder is done.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from __future__ import annotations
 import hashlib
 import re
 import sys
+import threading
 from contextlib import contextmanager
 
 from .exact import MAX_DEGREE, divides_power, rational
@@ -47,19 +48,35 @@ class CacheChecksumError(CacheFormatError):
     """Payload does not match the table's recorded checksum."""
 
 
+_digit_cap_lock = threading.Lock()
+_digit_cap_holders = 0
+_digit_cap_saved = None
+
+
 @contextmanager
 def unlimited_int_digits():
     """Lift the int<->str digit cap inside the block (or the decorated
-    call), then restore it.  A no-op on interpreters without the cap."""
-    previous = getattr(sys, "get_int_max_str_digits", lambda: None)()
-    if previous is None:
+    call), then restore it.  A no-op on interpreters without the cap.
+
+    The cap is interpreter-wide, so holders are counted: the first to
+    enter saves the cap and the last to leave restores it, however the
+    blocks of concurrent holders interleave."""
+    global _digit_cap_holders, _digit_cap_saved
+    if not hasattr(sys, "set_int_max_str_digits"):
         yield
         return
-    sys.set_int_max_str_digits(0)
+    with _digit_cap_lock:
+        if _digit_cap_holders == 0:
+            _digit_cap_saved = sys.get_int_max_str_digits()
+            sys.set_int_max_str_digits(0)
+        _digit_cap_holders += 1
     try:
         yield
     finally:
-        sys.set_int_max_str_digits(previous)
+        with _digit_cap_lock:
+            _digit_cap_holders -= 1
+            if _digit_cap_holders == 0:
+                sys.set_int_max_str_digits(_digit_cap_saved)
 
 
 def _payload_digest(body: str) -> str:

@@ -83,21 +83,10 @@ def denominator_exponent(value, p: int):
 
 
 def _bound_verdict(check, d, m, p, bound, attained, equality_predicted=None):
-    within = attained <= bound
-    if equality_predicted is None:
-        return Verdict(check, d, m, p, bound, attained, None, None, bool(within))
-    equality_observed = attained == bound
-    return Verdict(
-        check,
-        d,
-        m,
-        p,
-        bound,
-        attained,
-        equality_predicted,
-        equality_observed,
-        bool(within and equality_predicted == equality_observed),
-    )
+    equality_observed = None if equality_predicted is None else attained == bound
+    passed = attained <= bound and equality_predicted == equality_observed
+    return Verdict(check, d, m, p, bound, attained, equality_predicted, equality_observed,
+                   passed)
 
 
 def _require(name, d, m):

@@ -15,7 +15,7 @@ routes:
   obtained by unrolling the iteration one composition step at a time.
   The sum over a prefix's completions depends only on its state (level,
   remaining weight, shift), so each state's subtree is summed once, as
-  an int over one common denominator, and memoized; the divisions by
+  an int over one common denominator, and cached; the divisions by
   each step's j! D^j are exact.  ``partition_index_tuples`` enumerates
   the tuples one by one; it is public API and the enumeration the tests'
   ``Fraction`` reference sums over, not the route's.
@@ -30,6 +30,7 @@ sweep per degree, and the residue route is its independent oracle.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from operator import mul
@@ -151,7 +152,7 @@ def coefficient_by_partition_sum(d: int, m: int, n: int):
     (level k, remaining weight r, shift s), because the next factor
     starts at m - s D_k; so each state's subtree is summed once, as an
     int times C = T! d^T with T = T(m+1), T(r) = r // (d-1), and
-    memoized per level.  With c_j the sum of the child state reached by
+    memoized by ``functools.cache`` on the state.  With c_j the sum of the child state reached by
     j_k = j, a state's sum is folded by Horner's rule,
 
         c_0 + a_0 / b_0 (c_1 + a_1 / b_1 (c_2 + ...)),
@@ -174,40 +175,34 @@ def coefficient_by_partition_sum(d: int, m: int, n: int):
     _check_order(d, m, n)
     top = (m + 1) // (d - 1)
     common = math.factorial(top) * d**top
-    last = n - 1
-    memo = [{} for _ in range(n)]  # per level: (remaining, shift) -> subtree sum times C
     leaf_dens = [1]  # j! d^j for the last level's j = 0..T
     for j in range(1, top + 1):
         leaf_dens.append(leaf_dens[-1] * j * d)
-    leaf_quotients = {}  # j -> C / (j! d^j)
 
+    @functools.cache
+    def leaf_quotient(j):  # C / (j! d^j), with its remainder
+        return divmod(common, leaf_dens[j])
+
+    @functools.cache
     def subtree(k, remaining, shift):
-        if k == last:
+        if k == n - 1:
             j, r = divmod(remaining, d - 1)
             if r:
                 return 0
-            q = leaf_quotients.get(j)
-            if q is None:
-                q, r = divmod(common, leaf_dens[j])
-                if r:
-                    raise _inexact(k, remaining, shift, j)
-                leaf_quotients[j] = q
+            q, r = leaf_quotient(j)
+            if r:
+                raise _inexact(k, remaining, shift, j)
             start = m - shift * d
             return math.prod(range(start, start - j * d, -d)) * q
         step = d ** (n - k)
         start = m - shift * step
         weight = step - 1
-        below = memo[k + 1]
         top_j = remaining // weight
         if start % step == 0 and 0 <= start // step < top_j:
             top_j = start // step  # every larger j has the factor start - top_j * step = 0
         children = []
         for j in range(top_j + 1):
-            key = (remaining - j * weight, d * (shift + j))
-            child = below.get(key)
-            if child is None:
-                child = below[key] = subtree(k + 1, *key)
-            children.append(child)
+            children.append(subtree(k + 1, remaining - j * weight, d * (shift + j)))
         total = 0  # Horner: child_j + (start - j step) / ((j+1) step) * (the sum past j)
         for j in range(top_j, -1, -1):
             if total:
@@ -218,7 +213,7 @@ def coefficient_by_partition_sum(d: int, m: int, n: int):
         return total
 
     total = subtree(0, m + 1, 0)
-    del subtree  # it refers to itself; free it and its memo now, not at a collection
+    del subtree  # it refers to itself; free it and its cache now, not at a collection
     return rational(-total, common * m)
 
 

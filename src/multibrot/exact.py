@@ -17,7 +17,8 @@ The library's integer arguments (degrees, indices, orders, bounds) pass
 through ``require_int``: one that is not an int, or is below its least
 admissible value, raises one ``ValueError`` naming the argument.
 ``divides_power`` is ``is_d_adic`` without those guards, for the table
-parser and the checks, which have checked both arguments already.
+parser, the checks and the series tail, which have checked both
+arguments already; it holds the only copy of the modular-power rule.
 
 At p = 2 valuations are read off the binary digits: ``padic_valuation``
 by the position of the lowest set bit, ``factorial_valuation`` by
@@ -25,15 +26,17 @@ counting set bits.  Other primes divide by repeated squares of p.
 
 Valuations take values in the integers extended by infinity:
 ``padic_valuation(0, p)`` is ``POS_INF``, and the negated valuation of a
-zero coefficient downstream is ``NEG_INF``.  Infinities are distinct
-singletons, not sentinel integers, so arithmetic with them is total and
-unambiguous.
+zero coefficient downstream is ``NEG_INF``.  The two are the
+``decimal.Decimal`` infinities, not sentinel integers: they order
+exactly against every int, however many digits it has, and adding
+opposite infinities raises.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from decimal import Decimal
 from fractions import Fraction
 from typing import Union
 
@@ -49,60 +52,13 @@ ZERO = rational(0)
 # up to here, minutes at 2^61 - 1.
 MAX_DEGREE = 10**13
 
+# ``fractions`` imports ``decimal`` anyway.  Arithmetic on an infinity
+# returns an equal Decimal, not one of these objects, so ``is`` tests
+# only values that the library returns as they are.
+POS_INF = Decimal("Infinity")
+NEG_INF = -POS_INF
 
-class SignedInfinity:
-    """One of the two infinite endpoints of the extended integers.
-
-    Only the module-level instances ``POS_INF`` and ``NEG_INF`` exist.
-    They compare against every int (and each other), negate into each
-    other, and absorb finite addends.
-    """
-
-    __slots__ = ("_sign",)
-
-    def __init__(self, sign: int):
-        self._sign = sign
-
-    def __repr__(self):
-        return "+inf" if self._sign > 0 else "-inf"
-
-    def __neg__(self):
-        return NEG_INF if self._sign > 0 else POS_INF
-
-    def __eq__(self, other):
-        return self is other
-
-    def __hash__(self):
-        return hash(("SignedInfinity", self._sign))
-
-    def __lt__(self, other):
-        if self is other:
-            return False
-        return self._sign < 0
-
-    def __le__(self, other):
-        return self is other or self._sign < 0
-
-    def __gt__(self, other):
-        if self is other:
-            return False
-        return self._sign > 0
-
-    def __ge__(self, other):
-        return self is other or self._sign > 0
-
-    def __add__(self, other):
-        if isinstance(other, SignedInfinity) and other._sign != self._sign:
-            raise ArithmeticError("opposite infinities cannot be added")
-        return self
-
-    __radd__ = __add__
-
-
-POS_INF = SignedInfinity(+1)
-NEG_INF = SignedInfinity(-1)
-
-ExtendedInt = Union[int, SignedInfinity]
+ExtendedInt = Union[int, Decimal]
 
 
 def require_int(name: str, value, least: int) -> None:
@@ -231,7 +187,8 @@ def is_d_adic(den: int, d: int) -> bool:
 
 def divides_power(den: int, d: int) -> bool:
     """``is_d_adic`` without its argument guards, for callers that have
-    already checked that d >= 2 and den >= 1 are ints."""
+    already checked that d >= 1 and den >= 1 are ints (for d = 1 it holds
+    only at den = 1)."""
     return pow(d, den.bit_length(), den) == 0
 
 

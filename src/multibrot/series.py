@@ -18,7 +18,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from math import gcd
 
-from .exact import rational, require_int
+from .exact import divides_power, rational, require_int
 
 
 def poly_mul(a, b):
@@ -115,7 +115,7 @@ def rational_power_tail(q_coeffs, exponent, order: int):
             acc += (v_i - bk * u_i) * g[k - i]
         grow = bk // gcd(acc, bk)
         if grow > 1:
-            if pow(b, grow.bit_length(), grow) != 0:
+            if not divides_power(grow, b):
                 raise ArithmeticError(
                     f"tail term {k} of the power {alpha} has a denominator prime "
                     f"not dividing {b}"

@@ -1,6 +1,7 @@
 import hashlib
 import random
 import sys
+import threading
 from math import gcd
 
 import pytest
@@ -13,6 +14,7 @@ from multibrot.cache import (
     format_table,
     load_coefficients,
     parse_table,
+    unlimited_int_digits,
 )
 from multibrot.exact import MAX_DEGREE, rational
 
@@ -164,6 +166,50 @@ def test_round_trip_above_the_int_str_digit_cap(tmp_path):
     path.write_text(format_table(rows))
     assert load_coefficients(path) == rows
     assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+
+needs_digit_cap = pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                                     reason="interpreter has no int<->str digit cap")
+
+
+@pytest.fixture
+def default_digit_cap():
+    original = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield 4300
+    sys.set_int_max_str_digits(original)
+
+
+@needs_digit_cap
+def test_overlapping_holders_restore_the_cap(default_digit_cap):
+    # enter A, enter B, exit A, exit B: B must not restore the 0 that A set
+    a, b = unlimited_int_digits(), unlimited_int_digits()
+    a.__enter__()
+    b.__enter__()
+    a.__exit__(None, None, None)
+    assert sys.get_int_max_str_digits() == 0  # still lifted while B holds
+    b.__exit__(None, None, None)
+    assert sys.get_int_max_str_digits() == default_digit_cap
+
+
+@needs_digit_cap
+def test_concurrent_parses_leave_the_cap_as_found(default_digit_cap):
+    # each parse holds the cap lifted for some milliseconds, long enough
+    # for the two threads' holds to overlap
+    rows = [(2, m, rational(10**5000 + 2 * m + 1, 2**(16600 + m))) for m in range(20)]
+    text = format_table(rows)
+    results = []
+
+    def parse_five_times():
+        results.extend(parse_table(text) == rows for _ in range(5))
+
+    threads = [threading.Thread(target=parse_five_times) for _ in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert results == [True] * 10
+    assert sys.get_int_max_str_digits() == default_digit_cap
 
 
 def test_records_around_one_above_the_digit_cap_round_trip():

@@ -407,6 +407,44 @@ class TestVerdict:
         assert v == plain._replace(passed=False)
 
 
+# attained, bound, equality_predicted, and the verdict line's last five
+# fields: bound, attained, predicted, observed, passed
+BOUND_VERDICTS = [
+    (3, 5, None, "5,3,-,-,true"),
+    (5, 5, None, "5,5,-,-,true"),
+    (7, 5, None, "5,7,-,-,false"),
+    (NEG_INF, 5, None, "5,neg_inf,-,-,true"),
+    (NEG_INF, NEG_INF, None, "neg_inf,neg_inf,-,-,true"),
+    (POS_INF, 5, None, "5,inf,-,-,false"),
+    (3, 5, True, "5,3,true,false,false"),
+    (5, 5, True, "5,5,true,true,true"),
+    (7, 5, True, "5,7,true,false,false"),
+    (NEG_INF, 5, True, "5,neg_inf,true,false,false"),
+    (NEG_INF, NEG_INF, True, "neg_inf,neg_inf,true,true,true"),
+    (POS_INF, 5, True, "5,inf,true,false,false"),
+    (3, 5, False, "5,3,false,false,true"),
+    (5, 5, False, "5,5,false,true,false"),
+    (7, 5, False, "5,7,false,false,false"),
+    (NEG_INF, 5, False, "5,neg_inf,false,false,true"),
+    (NEG_INF, NEG_INF, False, "neg_inf,neg_inf,false,true,false"),
+    (POS_INF, 5, False, "5,inf,false,false,false"),
+]
+
+
+@pytest.mark.parametrize("attained,bound,predicted,fields", BOUND_VERDICTS,
+                         ids=[row[3] for row in BOUND_VERDICTS])
+def test_bound_verdict_truth_table(attained, bound, predicted, fields):
+    v = checks._bound_verdict("t", 2, 1, 2, bound, attained, predicted)
+    assert verdict_line(v) == "t,2,1,2," + fields
+    assert v.bound is bound and v.attained is attained
+    assert v.equality_predicted is predicted
+    # bools and None themselves, not values that merely print as them
+    observed, passed = fields.split(",")[3:]
+    as_bool = {"-": None, "true": True, "false": False}
+    assert v.equality_observed is as_bool[observed]
+    assert v.passed is as_bool[passed]
+
+
 class TestReportFormat:
     def test_line_fields(self, values):
         v = check_zagier(4, values[2, 4])

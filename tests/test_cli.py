@@ -594,6 +594,35 @@ class TestParserReuse:
         assert made == []
 
 
+# Runs every command in one interpreter started without site-packages and
+# prints the top-level modules it loaded that the standard library lacks.
+_STDLIB_ONLY_SCRIPT = """
+import contextlib, io, sys
+from multibrot.cli import main
+table = sys.argv[1]
+for argv in (["compute", "--d", "2", "--m-max", "12", "--cache", table],
+             ["verify", "--d", "2", "--m-max", "12", "--cache", table],
+             ["verify", "--d", "3", "--m-max", "8"],
+             ["census", "--d", "3", "--m-max", "10"],
+             ["bench", "--d", "2", "--m-max", "6"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0, argv
+allowed = set(sys.stdlib_module_names) | {"multibrot", "__main__"}
+print(sorted({name.partition(".")[0] for name in sys.modules} - allowed))
+"""
+
+
+def test_commands_load_only_the_standard_library(tmp_path):
+    # pyproject declares no dependencies; an import of an installed
+    # package (numpy, say) would go unnoticed in the test interpreter
+    env = dict(os.environ, PYTHONPATH=str(Path(multibrot.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-S", "-c", _STDLIB_ONLY_SCRIPT,
+                           str(tmp_path / "table.csv")],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 def _readme_cli_lines():
     """The ``multibrot ...`` lines of the first block under README's ## CLI."""
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")

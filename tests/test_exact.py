@@ -1,5 +1,6 @@
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -252,6 +253,12 @@ class TestBinomialGeneral:
 
 
 class TestSignedInfinity:
+    """POS_INF and NEG_INF, the two ``decimal.Decimal`` infinities."""
+
+    def test_are_the_decimal_infinities(self):
+        assert POS_INF == Decimal("Infinity") and NEG_INF == Decimal("-Infinity")
+        assert POS_INF.is_infinite() and NEG_INF.is_infinite()
+
     def test_ordering_against_ints(self):
         assert POS_INF > 10**100
         assert POS_INF >= 10**100
@@ -260,6 +267,15 @@ class TestSignedInfinity:
         assert NEG_INF <= -(10**100)
         assert NEG_INF < POS_INF
         assert POS_INF > NEG_INF
+
+    def test_ordering_against_ints_past_the_digit_cap(self):
+        # 5001 digits: past the default 4300-digit int<->str cap, so any
+        # comparison by way of str would raise
+        big = 10**5000
+        assert NEG_INF < -big < big < POS_INF
+        assert not POS_INF <= big and not NEG_INF >= -big
+        assert -big > NEG_INF and big < POS_INF
+        assert POS_INF != big and NEG_INF != -big
 
     def test_reflected_comparisons(self):
         assert 5 < POS_INF
@@ -274,13 +290,13 @@ class TestSignedInfinity:
         assert POS_INF != NEG_INF
 
     def test_negation(self):
-        assert -POS_INF is NEG_INF
-        assert -NEG_INF is POS_INF
+        assert -POS_INF == NEG_INF
+        assert -NEG_INF == POS_INF
 
     def test_absorbs_finite_addends(self):
-        assert POS_INF + 7 is POS_INF
-        assert 7 + POS_INF is POS_INF
-        assert NEG_INF + (-3) is NEG_INF
+        assert POS_INF + 7 == POS_INF
+        assert 7 + POS_INF == POS_INF
+        assert NEG_INF + (-3) == NEG_INF
 
     def test_opposite_infinities_do_not_add(self):
         with pytest.raises(ArithmeticError):
