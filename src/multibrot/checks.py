@@ -39,7 +39,6 @@ and at every (d, m) that indexes no coefficient.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .cache import checksummed_text
@@ -186,8 +185,7 @@ def _sort_key(v: Verdict):
     return (v.check, v.d, v.m, v.p if v.p is not None else -1)
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     """Where a check applies, and its verdicts on the value at one (d, m).
 
     ``full`` checks need their coefficients computed without the
@@ -221,14 +219,15 @@ CHECK_NAMES = tuple(CHECKS)
 
 
 def applicable(degrees, m_max: int, checks):
-    """(name, d, m) for every requested check at every index where it applies."""
+    """(name, d, m) for every requested check at every index where it
+    applies, in ascending order, each triple once."""
     unknown = [c for c in checks if c not in CHECKS]
     if unknown:
         raise ValueError(f"unknown check names: {', '.join(unknown)}")
     for d in degrees:
         require_int("degree d", d, 2)
     require_int("m_max", m_max, 0)
-    for name in dict.fromkeys(checks):
+    for name in sorted(set(checks)):
         applies = CHECKS[name].applies
         for d in sorted(set(degrees)):
             for m in range(m_max + 1):
@@ -238,7 +237,9 @@ def applicable(degrees, m_max: int, checks):
 
 def suite_verdicts(degrees, m_max: int, checks, cached=None) -> list[Verdict]:
     """Every applicable verdict for the requested checks, sorted by
-    (check, d, m, p) so that two runs diff cleanly.
+    (check, d, m, p) so that two runs diff cleanly: ``applicable`` yields
+    (check, d, m) in order, and ``check_main`` judges d's primes in the
+    ascending order ``factorize`` lists them.
 
     ``cached`` maps (d, m) to a value that is judged as given, except at
     the pairs of ``full`` checks: every check at such a pair reads the
@@ -258,7 +259,6 @@ def suite_verdicts(degrees, m_max: int, checks, cached=None) -> list[Verdict]:
     verdicts: list[Verdict] = []
     for name, d, m in todo:
         verdicts.extend(CHECKS[name].verdicts(d, m, values[d, m]))
-    verdicts.sort(key=_sort_key)
     return verdicts
 
 

@@ -32,8 +32,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from operator import mul
+from typing import NamedTuple
 
 from .exact import ZERO, rational, require_int
 from .series import iterate_parameter_polynomial, rational_power_tail
@@ -44,9 +44,9 @@ METHOD_SPECIAL = "special-case"
 METHOD_SWEEP = "sweep"
 
 
-@dataclass(frozen=True)
-class CoeffRecord:
-    """One computed coefficient with the method that produced it."""
+class CoeffRecord(NamedTuple):
+    """One computed coefficient with the method that produced it;
+    immutable, as a tuple is."""
 
     d: int
     m: int
@@ -169,19 +169,16 @@ def coefficient_by_partition_sum(d: int, m: int, n: int):
     C / (T(r')! d^T(r')) and so of j! D_k^j, and the division at b_j
     leaves sum_{i>j} c_i prod_{j<=l<i} a_l / ((i!/j!) D_k^(i-j)), an int.
     A remainder raises ``ArithmeticError`` naming the state.  The last
-    level's j is forced by r, and C / (j! d^j) is formed once per j.
-    The route builds one rational at the end.
+    level's j = T(r) <= T is forced by r, and its scale C / (j! d^j) is
+    multiplied out once per j, down from 1 at j = T, so no division
+    happens at a leaf.  The route builds one rational at the end.
     """
     _check_order(d, m, n)
     top = (m + 1) // (d - 1)
-    common = math.factorial(top) * d**top
-    leaf_dens = [1]  # j! d^j for the last level's j = 0..T
-    for j in range(1, top + 1):
-        leaf_dens.append(leaf_dens[-1] * j * d)
-
-    @functools.cache
-    def leaf_quotient(j):  # C / (j! d^j), with its remainder
-        return divmod(common, leaf_dens[j])
+    leaf = [1] * (top + 1)  # leaf[j] = C / (j! d^j), from leaf[T] = 1 down
+    for j in range(top, 0, -1):
+        leaf[j - 1] = leaf[j] * j * d
+    common = leaf[0]
 
     @functools.cache
     def subtree(k, remaining, shift):
@@ -189,11 +186,8 @@ def coefficient_by_partition_sum(d: int, m: int, n: int):
             j, r = divmod(remaining, d - 1)
             if r:
                 return 0
-            q, r = leaf_quotient(j)
-            if r:
-                raise _inexact(k, remaining, shift, j)
             start = m - shift * d
-            return math.prod(range(start, start - j * d, -d)) * q
+            return math.prod(range(start, start - j * d, -d)) * leaf[j]
         step = d ** (n - k)
         start = m - shift * step
         weight = step - 1

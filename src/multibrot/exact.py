@@ -16,9 +16,9 @@ up by name without a default, so removing it would break traced runs.
 The library's integer arguments (degrees, indices, orders, bounds) pass
 through ``require_int``: one that is not an int, or is below its least
 admissible value, raises one ``ValueError`` naming the argument.
-``divides_power`` is ``is_d_adic`` without those guards, for the table
-parser, the checks and the series tail, which have checked both
-arguments already; it holds the only copy of the modular-power rule.
+``divides_power``, the one d-adic test, runs no guards: its callers
+(the table parser, the checks and the series tail) have checked both
+arguments already.
 
 At p = 2 valuations are read off the binary digits: ``padic_valuation``
 by the position of the lowest set bit, ``factorial_valuation`` by
@@ -173,22 +173,14 @@ def _trial_division(d: int) -> tuple[tuple[int, int], ...]:
     return tuple(factors)
 
 
-def is_d_adic(den: int, d: int) -> bool:
-    """Whether every prime factor of the positive integer den divides d.
+def divides_power(den: int, d: int) -> bool:
+    """Whether every prime factor of the int den >= 1 divides the int d >= 1.
 
     Exactly then den divides d^e for e = den's bit length (no exponent in
     den exceeds it), so one modular power decides it without factoring d,
-    however large den is.
+    however large den is.  For d = 1 it holds only at den = 1.  The
+    arguments are not checked.
     """
-    require_int("degree d", d, 2)
-    require_int("den", den, 1)
-    return divides_power(den, d)
-
-
-def divides_power(den: int, d: int) -> bool:
-    """``is_d_adic`` without its argument guards, for callers that have
-    already checked that d >= 1 and den >= 1 are ints (for d = 1 it holds
-    only at den = 1)."""
     return pow(d, den.bit_length(), den) == 0
 
 

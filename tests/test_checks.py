@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from multibrot.checks import (
@@ -308,6 +310,20 @@ class TestSuite:
         keys = [(v.check, v.d, v.m, v.p if v.p is not None else -1) for v in verdicts]
         assert keys == sorted(keys)
 
+    def test_shuffled_duplicated_requests_come_sorted(self, values):
+        # applicable yields (check, d, m) in order and check_main takes the
+        # primes in order, so the suite's verdicts need no sort of their own
+        names = list(CHECK_NAMES) * 2
+        degrees = [2, 3, 4, 5, 6, 9, 12] * 2
+        rng = random.Random(23)
+        rng.shuffle(names)
+        rng.shuffle(degrees)
+        verdicts = suite_verdicts(degrees, 60, names, values)
+        keys = list(map(checks._sort_key, verdicts))
+        assert keys == sorted(set(keys))
+        assert len(verdicts) == 1350
+        assert verdicts == suite_verdicts([2, 3, 4, 5, 6, 9, 12], 60, list(CHECK_NAMES), values)
+
 
 class TestOneFillPath:
     """A library caller's values come from one sweep per degree, as the
@@ -386,16 +402,26 @@ class TestCacheRule:
 
 class TestVerdict:
     def test_fields_cannot_be_assigned(self, values):
+        # a verdict, a coefficient record and a CHECKS row are all tuples
         v = check_zagier(4, values[2, 4])
-        with pytest.raises(AttributeError):
-            v.passed = False
-        assert v.passed
+        record = coeffs.laurent_coefficient(2, 4)
+        row = checks.CHECKS["vanishing"]
+        for obj, field, new in ((v, "passed", False), (record, "value", 1),
+                                (row, "full", False)):
+            old = getattr(obj, field)
+            with pytest.raises(AttributeError):
+                setattr(obj, field, new)
+            assert getattr(obj, field) is old
+        assert v.passed and record.value == 0 and row.full
 
     def test_field_names_and_order(self):
         assert checks.Verdict._fields == (
             "check", "d", "m", "p", "bound", "attained",
             "equality_predicted", "equality_observed", "passed",
         )
+        assert coeffs.CoeffRecord._fields == ("d", "m", "value", "method")
+        assert checks.Check._fields == ("applies", "verdicts", "full")
+        assert checks.Check(None, None).full is False
 
     def test_yamashita_forced_failure_changes_only_passed(self, values):
         # at p=3, m=9 the floor form 7 exceeds the additive form 5 + nu_3(5!) = 6

@@ -201,13 +201,16 @@ class TestPartitionSumRoute:
         assert coefficient_by_partition_sum(d, m, n) == coefficient_by_residue(d, m)
 
     def test_inexact_division_names_the_state(self, monkeypatch):
-        # with the factorial part of C = T! d^T gone, the first leaf reached
-        # (j = 0 above it, so j = T at the last level) is no longer exact
-        monkeypatch.setattr(coeffs.math, "factorial", lambda t: 1)
-        n = choose_n(2, 40)
-        with pytest.raises(ArithmeticError, match=rf"^state \(level {n - 1}, remaining 41, "
-                                                  rf"shift 0\): inexact division at j = 41$"):
-            coefficient_by_partition_sum(2, 40, n)
+        # a divmod that leaves remainder 1 except at the leaves' d - 1 = 1
+        # fails the first Horner division reached (b_39 != 0 at d = 2)
+        def inexact(a, b):
+            return (a // b, 0 if b == 1 else 1)
+        monkeypatch.setattr(coeffs, "divmod", inexact, raising=False)
+        n = choose_n(2, 39)
+        assert n == 5
+        with pytest.raises(ArithmeticError, match=r"^state \(level 3, remaining 40, "
+                                                  r"shift 0\): inexact division at j = 12$"):
+            coefficient_by_partition_sum(2, 39, n)
 
     def test_leaves_no_reference_cycle(self):
         # the walk and its memo are freed at return, not at a later collection
@@ -519,8 +522,6 @@ class TestZeroCensus:
     (series.iterate_parameter_polynomial, (2.0, 1), "degree d", 2),
     (series.rational_power_tail, ((0, 1, 1), rational(1, 2), 2.0), "order", 0),
     (exact.factorial_valuation, (2.5, 2), "m", 0),
-    (exact.is_d_adic, (-8, 2), "den", 1),
-    (exact.is_d_adic, (0, 2), "den", 1),
     (binomial_general, (rational(1, 2), 1.0), "j", 0),
 ])
 def test_bad_arguments_are_one_value_error(call, args, name, least):

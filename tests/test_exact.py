@@ -11,9 +11,9 @@ from multibrot.exact import (
     NEG_INF,
     POS_INF,
     binomial_general,
+    divides_power,
     factorial_valuation,
     factorize,
-    is_d_adic,
     is_prime,
     padic_valuation,
     rational,
@@ -193,6 +193,8 @@ class TestIsPrime:
 
 
 class TestIsDAdic:
+    """``divides_power`` decides whether a denominator is d-adic."""
+
     def test_matches_dividing_out_each_prime(self):
         # the same loop also counts each prime's exponent for padic_valuation
         for d in range(2, 13):
@@ -204,12 +206,12 @@ class TestIsDAdic:
                         rest //= p
                         v += 1
                     assert padic_valuation(den, p) == v, (den, p)
-                assert is_d_adic(den, d) == (rest == 1), (den, d)
+                assert divides_power(den, d) == (rest == 1), (den, d)
 
     def test_large_powers(self):
-        assert is_d_adic(2**66439, 2)
-        assert is_d_adic(2**20000 * 3**15000, 6)
-        assert not is_d_adic(2**66439 * 7, 2)
+        assert divides_power(2**66439, 2)
+        assert divides_power(2**20000 * 3**15000, 6)
+        assert not divides_power(2**66439 * 7, 2)
 
 
 class TestBinomialGeneral:
@@ -313,6 +315,8 @@ def test_rational_interoperates_with_fraction():
 
 
 class TestIsDAdicByOneModularPower:
+    """``divides_power`` decides d-adicity by one modular power."""
+
     @pytest.fixture
     def no_factoring(self, monkeypatch):
         def refuse(d):
@@ -324,19 +328,14 @@ class TestIsDAdicByOneModularPower:
     def test_never_factorizes_the_degree(self, no_factoring, d):
         # degrees no other test asks about, so no memoized factorization
         # of them can exist; 7 divides neither
-        assert is_d_adic(1, d)
-        assert is_d_adic(d, d)
-        assert is_d_adic(d**5, d)
-        assert not is_d_adic(7 * d, d)
-        assert not is_d_adic(7, d)
+        assert divides_power(1, d)
+        assert divides_power(d, d)
+        assert divides_power(d**5, d)
+        assert not divides_power(7 * d, d)
+        assert not divides_power(7, d)
 
     def test_composite_degree_without_factoring(self, no_factoring):
         d = 2**40 * 3
-        assert is_d_adic(2**123, d) and is_d_adic(3**200, d)
-        assert is_d_adic(2**7 * 3**90, d)
-        assert not is_d_adic(2**7 * 3**90 * 5, d)
-
-    @pytest.mark.parametrize("d", [1, 0, -4, 2.0, "2", None])
-    def test_degrees_that_are_not_ints_from_two_are_value_errors(self, d):
-        with pytest.raises(ValueError):
-            is_d_adic(3, d)
+        assert divides_power(2**123, d) and divides_power(3**200, d)
+        assert divides_power(2**7 * 3**90, d)
+        assert not divides_power(2**7 * 3**90 * 5, d)
