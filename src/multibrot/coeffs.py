@@ -248,7 +248,15 @@ def coefficients_by_sweep(d: int, m_max: int) -> list:
     divisions are by d^k* and, for d >= 3, by j; a remainder raises
     ``ArithmeticError``.  Columns are computed in full, without the
     vanishing shortcut; terms are skipped only where level k is zero by
-    the recurrence above.
+    the recurrence above or, for d >= 3, where a factor is a computed
+    zero.  There g is the gcd of the indices >= 1 of every nonzero
+    beta_{k,j} or H_{k,j} written so far, at any level (g = 0 before the
+    first), so every entry at an index >= 1 off the multiples of g is an
+    exact zero.  A term of column j pairs indices i and j - i, both >= 1:
+    when g does not divide j one of them is off the multiples of g, and
+    the column's sum is 0; otherwise only the i that g divides can pair
+    two nonzero entries.  The skip reads only computed values, never the
+    vanishing theorem (by which g settles at d - 1).
     """
     require_int("degree d", d, 2)
     require_int("m_max", m_max, 0)
@@ -269,11 +277,16 @@ def coefficients_by_sweep(d: int, m_max: int) -> list:
             return r + row[j // 2] ** 2 if j % 2 == 0 and j >= 2 * lo else r
     else:
         power = [[1] + [0] * top for _ in range(levels)]
+        g = 0  # gcd of the indices >= 1 of the nonzero entries written so far
 
         def rest(k, j, lo):  # H_{k,j} - d beta_{k,j}
+            if not g or j % g:
+                return 0  # each term has a factor at an index off the multiples of g
             row_b, row_h = beta[k], power[k]
-            r, rem = divmod(sum(((d + 1) * i - j) * row_b[i] * row_h[j - i]
-                                for i in range(lo, j - lo + 1)), j)
+            a = -(-lo // g) * g  # the first multiple of g from lo
+            weights = range((d + 1) * a - j, d * j, (d + 1) * g)  # (d + 1) i - j for i < j
+            r, rem = divmod(sum(map(mul, map(mul, weights, row_b[a:j - lo + 1:g]),
+                                    row_h[j - a:lo - 1:-g])), j)
             if rem:
                 raise ArithmeticError(f"column {j}, level {k}: inexact division by {j}")
             return r
@@ -294,6 +307,8 @@ def coefficients_by_sweep(d: int, m_max: int) -> list:
             beta[k][j] = d**k * u + provisional[k]
             if power is not None:
                 power[k][j] = d * beta[k][j] + rests[k]
+                if beta[k][j] or power[k][j]:
+                    g = math.gcd(g, j)
     return [rational(beta[0][j], scale**j) for j in range(1, top + 1)]
 
 

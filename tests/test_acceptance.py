@@ -330,3 +330,21 @@ def test_all_checks_to_m2000(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "9efcf40d76b5c0320037a854168f3e2219ffbf00e7ab31fc4aeb4430b12ddc51"
     )
+
+
+@pytest.mark.slow
+def test_main_bound_on_degree_ladder(capsys):
+    """The main bound at prime powers and composite degrees, about 3 s.
+
+    d = 8, 9, 16, 25, 27 are prime powers and 10, 12, 15, 30 products of
+    two or three primes.  Every verdict of the 38 133 holds; the report's
+    bytes are pinned.
+    """
+    code = cli.main(["verify", "--d", "8,9,10,12,15,16,25,27,30", "--m-max", "2000",
+                     "--threads", "1"])
+    out = capsys.readouterr().out
+    assert code == cli.EXIT_OK
+    assert len(out.splitlines()) == 38133 + 2  # the header and the digest line
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "51c5d044276e56d545e75d02129adaaa7fd70ed776b860a399d2d7f24389c618"
+    )

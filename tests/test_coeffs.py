@@ -37,15 +37,17 @@ KNOWN_D2 = {
     9: rational(-3673, 262144),
 }
 
-# The unexplained zeros of d = 4..7 to m <= 1000, observed by the census.
-UNEXPLAINED_ZEROS_TO_M1000 = {
+# The unexplained zeros of d = 4..7 to m <= 2000, observed by the census.
+UNEXPLAINED_ZEROS_TO_M2000 = {
     4: [8, 20, 32, 56, 68, 80, 116, 128, 176, 224, 272, 320, 368, 416, 464, 512, 560,
-        608, 656, 704, 752, 800, 848, 896, 992],
+        608, 656, 704, 752, 800, 848, 896, 992, 1040, 1088, 1184, 1232, 1280, 1376,
+        1424, 1472, 1568, 1616, 1664, 1760, 1808, 1856, 2000],
     5: [15, 35, 55, 75, 115, 135, 155, 175, 235, 255, 275, 355, 375, 475, 575, 675, 775,
-        875, 975],
+        875, 975, 1075, 1175, 1275, 1375, 1475, 1575, 1675, 1775, 1875, 1975],
     6: [24, 54, 84, 114, 144, 204, 234, 264, 294, 324, 414, 444, 474, 504, 624, 654, 684,
-        834, 864],
-    7: [35, 77, 119, 161, 203, 245, 329, 371, 413, 455, 497, 539, 665, 707, 749, 791, 833],
+        834, 864, 1044, 1224, 1404, 1584, 1764, 1944],
+    7: [35, 77, 119, 161, 203, 245, 329, 371, 413, 455, 497, 539, 665, 707, 749, 791, 833,
+        1001, 1043, 1085, 1127, 1337, 1379, 1421, 1673, 1715],
 }
 
 
@@ -272,6 +274,34 @@ class TestSweep:
         for m_max in range(81):
             assert coefficients_by_sweep(2, m_max) == full[:m_max + 1], m_max
 
+    @pytest.mark.parametrize("d", [7, 8, 9, 10, 12])
+    def test_equals_residue_route_past_degree_six(self, d):
+        # at every index, the zeros of the divisibility criterion included:
+        # the sweep skips only terms with a factor it computed to be zero
+        values = coefficients_by_sweep(d, 100)
+        for m in range(1, 101):
+            assert values[m] == coefficient_by_residue(d, m), (d, m)
+
+    @pytest.mark.parametrize("d", [3, 5])
+    def test_prefixes_past_degree_two(self, d):
+        # the skip follows the indices of the entries computed so far,
+        # which depend only on the columns already swept
+        full = coefficients_by_sweep(d, 60)
+        for m_max in range(61):
+            assert coefficients_by_sweep(d, m_max) == full[:m_max + 1], (d, m_max)
+
+    def test_reads_no_divisibility_criterion(self, monkeypatch):
+        # the skip assumes no vanishing theorem, so check_vanishing still
+        # judges a full computation
+        expected = {d: coefficients_by_sweep(d, 120) for d in range(3, 7)}
+
+        def refuse(d, m):
+            raise AssertionError(f"vanishes_by_divisibility({d}, {m}) read by the sweep")
+
+        monkeypatch.setattr(coeffs, "vanishes_by_divisibility", refuse)
+        for d, values in expected.items():
+            assert coefficients_by_sweep(d, 120) == values, d
+
     def test_degree_two_equals_residue_route_at_level_boundaries(self):
         # column j = m + 1: k* steps at j = 255 and 511, where level
         # lo = 2^(k+1) - 1 = 255 and 511 is first swept, and the diagonal
@@ -453,13 +483,24 @@ class TestZeroCensus:
         assert len(zeros) == 53
         assert [m for m, _ in zeros] == degree_two_zero_block_rule(1000)
 
-    @pytest.mark.parametrize("d", sorted(UNEXPLAINED_ZEROS_TO_M1000))
-    def test_zeros_to_m1000_for_degrees_four_to_seven(self, d):
-        # about 0.4-0.8 s each; observed, not explained
-        zeros = zero_census(d, 1000)
+    @staticmethod
+    def assert_zeros_of_degrees_four_to_seven(d, m_max):
+        zeros = zero_census(d, m_max)
         assert [m for m, explained in zeros if explained] == [
-            m for m in range(1001) if vanishes_by_divisibility(d, m)]
-        assert [m for m, explained in zeros if not explained] == UNEXPLAINED_ZEROS_TO_M1000[d]
+            m for m in range(m_max + 1) if vanishes_by_divisibility(d, m)]
+        assert [m for m, explained in zeros if not explained] == [
+            m for m in UNEXPLAINED_ZEROS_TO_M2000[d] if m <= m_max]
+
+    @pytest.mark.parametrize("d", sorted(UNEXPLAINED_ZEROS_TO_M2000))
+    def test_zeros_to_m1000_for_degrees_four_to_seven(self, d):
+        # about 0.1-0.3 s each; observed, not explained
+        self.assert_zeros_of_degrees_four_to_seven(d, 1000)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("d", sorted(UNEXPLAINED_ZEROS_TO_M2000))
+    def test_zeros_to_m2000_for_degrees_four_to_seven(self, d):
+        # about 1-3 s each; observed, not explained
+        self.assert_zeros_of_degrees_four_to_seven(d, 2000)
 
     def test_degree_three_odd_zeros_to_m1000(self):
         # the even indices vanish by the divisibility criterion; these odd
@@ -474,8 +515,8 @@ class TestZeroCensus:
 
     @pytest.mark.slow
     def test_zeros_to_m2000(self, monkeypatch):
-        # about 60 s on one core: the d = 2 sweep 25-30 s, the d = 3 sweep
-        # 9 s and the five residue calls 12 s.  d = 2: the blocks have steps
+        # about 55 s on one core: the d = 2 sweep 25-30 s, the d = 3 sweep
+        # 4-6 s and the five residue calls 12 s.  d = 2: the blocks have steps
         # 4, 8, 16, 32, 64; each runs from its start s to 4s, and the next
         # starts one (doubled) step after that, so the fifth block starts
         # at 1920 + 64 = 1984.  d = 3: the odd zeros keep
