@@ -19,17 +19,14 @@ every genuine coefficient is a d-adic rational, so such a line can only
 be corruption.
 
 Numerators and denominators grow past Python's int<->str digit cap
-(4300 digits by default) for large m, so the cap is lifted around the
-conversions and put back when the last concurrent holder is done.
+(4300 digits by default) for large m; ``int_to_text`` and
+``text_to_int`` convert past it, and nothing here changes the cap.
 """
 
 from __future__ import annotations
 
 import hashlib
 import re
-import sys
-import threading
-from contextlib import contextmanager
 
 from .exact import MAX_DEGREE, divides_power, rational
 
@@ -48,35 +45,31 @@ class CacheChecksumError(CacheFormatError):
     """Payload does not match the table's recorded checksum."""
 
 
-_digit_cap_lock = threading.Lock()
-_digit_cap_holders = 0
-_digit_cap_saved = None
-
-
-@contextmanager
-def unlimited_int_digits():
-    """Lift the int<->str digit cap inside the block (or the decorated
-    call), then restore it.  A no-op on interpreters without the cap.
-
-    The cap is interpreter-wide, so holders are counted: the first to
-    enter saves the cap and the last to leave restores it, however the
-    blocks of concurrent holders interleave."""
-    global _digit_cap_holders, _digit_cap_saved
-    if not hasattr(sys, "set_int_max_str_digits"):
-        yield
-        return
-    with _digit_cap_lock:
-        if _digit_cap_holders == 0:
-            _digit_cap_saved = sys.get_int_max_str_digits()
-            sys.set_int_max_str_digits(0)
-        _digit_cap_holders += 1
+def int_to_text(n: int) -> str:
+    """``str(n)`` at any length: where the interpreter's int<->str digit
+    cap refuses, the decimal halves of ``n`` are converted apart."""
     try:
-        yield
-    finally:
-        with _digit_cap_lock:
-            _digit_cap_holders -= 1
-            if _digit_cap_holders == 0:
-                sys.set_int_max_str_digits(_digit_cap_saved)
+        return str(n)
+    except ValueError:
+        half = n.bit_length() * 3 // 20  # about half of n's decimal digits
+        high, low = divmod(abs(n), 10**half)
+        return "-" * (n < 0) + int_to_text(high) + int_to_text(low).zfill(half)
+
+
+def text_to_int(text: str) -> int:
+    """``int(text)`` at any length of a spelling ``-?[0-9]+``: where the
+    digit cap refuses (never at 640 characters or fewer, the least cap there
+    is), the halves of the digits are converted apart.  Text that ``int``
+    refuses for another reason raises its ``ValueError``."""
+    try:
+        return int(text)
+    except ValueError:
+        digits = text.removeprefix("-")
+        if not digits.isdecimal():
+            raise
+    half = len(digits) // 2
+    value = text_to_int(digits[:-half]) * 10**half + text_to_int(digits[-half:])
+    return -value if text.startswith("-") else value
 
 
 def _payload_digest(body: str) -> str:
@@ -91,7 +84,6 @@ def checksummed_text(header: str, lines) -> str:
     return f"{header}\n{body}{_CHECKSUM_PREFIX}{_payload_digest(body)}\n"
 
 
-@unlimited_int_digits()
 def format_table(rows) -> str:
     """Render (d, m, value) triples as the full table text (header,
     payload, checksum), in the order given.  Raises ``ValueError`` unless
@@ -103,11 +95,13 @@ def format_table(rows) -> str:
         if previous is not None and (d, m) <= previous:
             raise ValueError(f"rows not strictly increasing in (d, m) at d={d}, m={m}")
         previous = (d, m)
-        lines.append(f"{d},{m},{value.numerator},{value.denominator}")
+        try:
+            lines.append(f"{d},{m},{value.numerator},{value.denominator}")
+        except ValueError:  # a field past the digit cap
+            lines.append(",".join(map(int_to_text, (d, m, value.numerator, value.denominator))))
     return checksummed_text(HEADER, lines)
 
 
-@unlimited_int_digits()
 def parse_table(text: str) -> list[tuple[int, int, object]]:
     """Parse table text into (d, m, value) triples, validating the format."""
     if text.strip() == "":
@@ -129,21 +123,26 @@ def parse_table(text: str) -> list[tuple[int, int, object]]:
 
     canonical = _RECORDS.match(body).end()
     # the canonical records' fields in file order, taken four at a time
-    fields = map(int, body[:canonical].replace(",", " ").split())
+    words = body[:canonical].replace(",", " ").split()
+    try:
+        fields = iter(list(map(int, words)))
+    except ValueError:  # a field past the digit cap
+        fields = map(text_to_int, words)
     triples = []
     previous_key = None
     for offset, (d, m, num, den) in enumerate(zip(fields, fields, fields, fields), start=2):
         if not 2 <= d <= MAX_DEGREE or m < 0:
-            raise CacheFormatError(f"line {offset}: invalid indices d={d}, m={m}")
+            raise CacheFormatError(f"line {offset}: invalid indices "
+                                   f"d={int_to_text(d)}, m={int_to_text(m)}")
         if den <= 0:
             raise CacheFormatError(f"line {offset}: denominator must be positive")
         value = rational(num, den)
         if value.denominator != den:
-            raise CacheFormatError(f"line {offset}: {num}/{den} is not in lowest terms")
+            raise CacheFormatError(f"line {offset}: {int_to_text(num)}/"
+                                   f"{int_to_text(den)} is not in lowest terms")
         if not divides_power(den, d):
-            raise CacheFormatError(
-                f"line {offset}: denominator {den} has a prime factor not dividing d={d}"
-            )
+            raise CacheFormatError(f"line {offset}: denominator {int_to_text(den)} has a "
+                                   f"prime factor not dividing d={d}")
         key = (d, m)
         if previous_key is not None and key <= previous_key:
             raise CacheFormatError(f"line {offset}: records not sorted by (d, m)")

@@ -186,17 +186,15 @@ def _emit(text: str, path: str | Path | None):
             fh.write(text)
 
 
-@cache.unlimited_int_digits()
 def _records_json_lines(rows) -> str:
-    lines = []
-    for d, m, value in rows:
-        lines.append(json.dumps({
-            "d": d,
-            "m": m,
-            "numerator": str(value.numerator),
-            "denominator": str(value.denominator),
-        }, sort_keys=True))
-    return "\n".join(lines) + "\n" if lines else ""
+    return "".join(json.dumps({"d": d, "m": m, "numerator": cache.int_to_text(value.numerator),
+                               "denominator": cache.int_to_text(value.denominator)},
+                              sort_keys=True) + "\n" for d, m, value in rows)
+
+
+def _fraction_text(value) -> str:
+    """``value`` as numerator/denominator, at any length of its terms."""
+    return "/".join(map(cache.int_to_text, value.as_integer_ratio()))
 
 
 def _swept_rows(degrees, m_max):
@@ -212,7 +210,8 @@ def cmd_compute(args) -> int:
             b = laurent_coefficient(d, m, method=METHOD_COMBINATORIAL).value
             if a != b:
                 print(f"multibrot: method disagreement at d={d}, m={m}: "
-                      f"{METHOD_SWEEP}={a}, combinatorial={b}", file=sys.stderr)
+                      f"{METHOD_SWEEP}={_fraction_text(a)}, "
+                      f"combinatorial={_fraction_text(b)}", file=sys.stderr)
                 return EXIT_VERIFICATION
     if args.output == "csv":
         text = cache.format_table(rows)

@@ -5,16 +5,19 @@ import threading
 from math import gcd
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from multibrot import cache
 from multibrot.cache import (
     HEADER,
     CacheChecksumError,
     CacheFormatError,
+    checksummed_text,
+    text_to_int,
     format_table,
+    int_to_text,
     load_coefficients,
     parse_table,
-    unlimited_int_digits,
 )
 from multibrot.exact import MAX_DEGREE, rational
 
@@ -168,34 +171,8 @@ def test_round_trip_above_the_int_str_digit_cap(tmp_path):
     assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
 
 
-needs_digit_cap = pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
-                                     reason="interpreter has no int<->str digit cap")
-
-
-@pytest.fixture
-def default_digit_cap():
-    original = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(4300)
-    yield 4300
-    sys.set_int_max_str_digits(original)
-
-
-@needs_digit_cap
-def test_overlapping_holders_restore_the_cap(default_digit_cap):
-    # enter A, enter B, exit A, exit B: B must not restore the 0 that A set
-    a, b = unlimited_int_digits(), unlimited_int_digits()
-    a.__enter__()
-    b.__enter__()
-    a.__exit__(None, None, None)
-    assert sys.get_int_max_str_digits() == 0  # still lifted while B holds
-    b.__exit__(None, None, None)
-    assert sys.get_int_max_str_digits() == default_digit_cap
-
-
-@needs_digit_cap
 def test_concurrent_parses_leave_the_cap_as_found(default_digit_cap):
-    # each parse holds the cap lifted for some milliseconds, long enough
-    # for the two threads' holds to overlap
+    # two threads parse a table past the cap at the same time
     rows = [(2, m, rational(10**5000 + 2 * m + 1, 2**(16600 + m))) for m in range(20)]
     text = format_table(rows)
     results = []
@@ -210,6 +187,93 @@ def test_concurrent_parses_leave_the_cap_as_found(default_digit_cap):
         thread.join()
     assert results == [True] * 10
     assert sys.get_int_max_str_digits() == default_digit_cap
+
+
+def test_no_other_thread_sees_the_cap_lifted(default_digit_cap):
+    # table I/O past the cap must not switch the interpreter-wide cap
+    rows = [(2, m, rational(10**4999 + 2 * m + 1, 2**(16600 + m))) for m in range(40)]
+    seen = set()
+    done = threading.Event()
+
+    def poll():
+        while not done.is_set():
+            seen.add(sys.get_int_max_str_digits())
+
+    poller = threading.Thread(target=poll)
+    poller.start()
+    try:
+        assert parse_table(format_table(rows)) == rows
+    finally:
+        done.set()
+        poller.join()
+    assert seen == {default_digit_cap}
+
+
+@pytest.mark.parametrize("cap", [640, 4300, 0])
+def test_table_bytes_do_not_depend_on_the_host_cap(set_digit_cap, cap):
+    rows = [(2, m, rational((-1) ** m * (10**k + 7), 2**(3 * k + m)))
+            for m, k in enumerate([5, 639, 640, 641, 4299, 4300, 4301, 8601])]
+    set_digit_cap(0)
+    expected = checksummed_text(HEADER, [f"{d},{m},{v.numerator},{v.denominator}"
+                                         for d, m, v in rows])
+    set_digit_cap(cap)
+    text = format_table(rows)
+    assert text == expected
+    assert parse_table(text) == rows
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture], deadline=None)
+@given(
+    digits=st.sampled_from([1, 639, 640, 641, 4299, 4300, 4301, 8600, 8601, 8602]),
+    negative=st.booleans(),
+    zeros=st.booleans(),
+    cap=st.sampled_from([640, 4300]),
+    rng=st.randoms(use_true_random=False),
+)
+def test_conversions_agree_with_str_and_int_without_the_cap(
+        set_digit_cap, digits, negative, zeros, cap, rng):
+    # with zeros, a run of zeros crosses every split point
+    magnitude = (10 ** (digits - 1) + rng.randrange(10) if zeros
+                 else rng.randrange(10 ** (digits - 1), 10**digits))
+    n = -magnitude if negative else magnitude
+    set_digit_cap(0)
+    text = str(n)
+    set_digit_cap(cap)
+    assert int_to_text(n) == text
+    assert text_to_int(text) == n
+
+
+@pytest.mark.parametrize("text", ["12a", "", "-", "--5", "1__0", "0x10",
+                                  "1" * 5000 + "x", "+" + "1" * 5000, " " + "1" * 5000])
+def test_text_to_int_refuses_other_text_without_splitting(
+        default_digit_cap, monkeypatch, text):
+    calls = []
+    real = cache.text_to_int
+    monkeypatch.setattr(cache, "text_to_int", lambda t: calls.append(t) or real(t))
+    with pytest.raises(ValueError):
+        cache.text_to_int(text)
+    assert calls == [text]
+    # a digit string past the cap is split: the count above sees recursion
+    calls.clear()
+    assert cache.text_to_int("1" * 5000) == (10**5000 - 1) // 9
+    assert len(calls) > 1
+
+
+@pytest.mark.parametrize("fields, message", [
+    ((2, 0, 2 * (10**4300 + 7), 2**14300), "{num}/{den} is not in lowest terms"),
+    ((2, 0, 10**4300 + 7, 3 * 2**14300),
+     "denominator {den} has a prime factor not dividing d=2"),
+    ((10**4300 + 7, 0, 1, 1), "invalid indices d={d}, m=0"),
+])
+def test_messages_quote_fields_past_the_cap(set_digit_cap, fields, message):
+    d, m, num, den = fields
+    set_digit_cap(0)
+    text = _with_payload([",".join(map(str, fields))])
+    expected = "line 2: " + message.format(d=d, num=num, den=den)
+    set_digit_cap(4300)
+    with pytest.raises(CacheFormatError) as info:
+        parse_table(text)
+    assert str(info.value) == expected
 
 
 def test_records_around_one_above_the_digit_cap_round_trip():

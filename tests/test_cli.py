@@ -142,6 +142,19 @@ class TestCompute:
         assert code == EXIT_VERIFICATION
         assert "disagreement" in err
 
+    def test_method_disagreement_past_the_digit_cap_is_one_stderr_line(
+            self, capsys, monkeypatch, default_digit_cap):
+        # a 5001-digit numerator can only be printed past the cap
+        value = rational(10**5000 + 1, 2)
+        monkeypatch.setattr(cli.coeffs, "coefficients_by_sweep", lambda d, m_max: [value])
+        monkeypatch.setattr(cli, "laurent_coefficient",
+                            lambda d, m, *, method: CoeffRecord(d, m, value + 1, method))
+        code, out, err = run(capsys, "compute", "--d", "2", "--m-max", "0", "--method", "both")
+        assert code == EXIT_VERIFICATION
+        assert out == ""
+        assert err == ("multibrot: method disagreement at d=2, m=0: "
+                       f"sweep=1{'0' * 4999}1/2, combinatorial=1{'0' * 4999}3/2\n")
+
 
 class TestVerify:
     def test_passing_checks(self, capsys):
@@ -208,6 +221,21 @@ class TestVerify:
                            "--threads", "1", "--checks", "zagier", "--cache", str(path))
         assert code == EXIT_IO
         assert "bad coefficient table" in err
+
+    @pytest.mark.parametrize("fields", [(2, 1, 2 * (10**4300 + 7), 2**14300),
+                                        (2, 1, 10**4300 + 7, 3 * 2**14300),
+                                        (10**4300 + 7, 1, 1, 1)])
+    def test_faulty_record_past_the_digit_cap_is_io_error(self, capsys, tmp_path,
+                                                          set_digit_cap, fields):
+        # not in lowest terms, a prime not dividing d, invalid indices
+        set_digit_cap(0)
+        path = tmp_path / "bad.csv"
+        path.write_text(cache.checksummed_text(cache.HEADER, [",".join(map(str, fields))]))
+        set_digit_cap(4300)
+        code, _, err = run(capsys, "verify", "--d", "2", "--m-max", "1", "--cache", str(path))
+        assert code == EXIT_IO
+        [line] = err.splitlines()
+        assert line.startswith("multibrot: bad coefficient table: line 2: ")
 
     def test_non_utf8_cache_is_io_error(self, capsys, tmp_path):
         path = tmp_path / "bad.txt"
@@ -607,6 +635,8 @@ for argv in (["compute", "--d", "2", "--m-max", "12", "--cache", table],
              ["bench", "--d", "2", "--m-max", "6"]):
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(argv) == 0, argv
+    # table I/O takes no lock and starts no thread
+    assert "threading" not in sys.modules, argv
 allowed = set(sys.stdlib_module_names) | {"multibrot", "__main__"}
 print(sorted({name.partition(".")[0] for name in sys.modules} - allowed))
 # records are tuples: no start-up pays for dataclasses and what it imports
