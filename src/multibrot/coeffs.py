@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import functools
 import math
+from itertools import count, islice
 from operator import mul
 from typing import NamedTuple
 
@@ -212,7 +213,7 @@ def coefficient_by_partition_sum(d: int, m: int, n: int):
 
 
 def coefficients_by_sweep(d: int, m_max: int) -> list:
-    """Exact [b_0, ..., b_m_max] in one sweep over the columns of the iterates.
+    """Exact [b_0, ..., b_m_max], a prefix of one open-ended sweep of the iterates' columns.
 
     With Psi(w) = w (1 + sum_j beta_{0,j} w^-j), so beta_{0,j} = b_{j-1},
     the iterates Psi_k = Q_k(Psi) = w^(d^k) (1 + B_k(1/w)) obey
@@ -260,56 +261,54 @@ def coefficients_by_sweep(d: int, m_max: int) -> list:
     """
     require_int("degree d", d, 2)
     require_int("m_max", m_max, 0)
-    scale = 4 if d == 2 else d
-    top = m_max + 1
-    levels = choose_n(d, max(m_max, 1))
-    offsets = [d ** (k + 1) - 1 for k in range(levels)]
-    # column j - offset of 1 + B_0 enters column j of level k + 1 times S^offset;
-    # an offset past the last column is never read, and S^offset can be huge
-    lifts = [scale**offset if offset <= top else None for offset in offsets]
-    beta = [[1] + [0] * top for _ in range(levels)]
-    if d == 2:
-        power = None
+    return list(islice(_sweep(d), m_max + 1))
 
-        def rest(k, j, lo):  # [x^j](1 + B_k)^2 - 2 beta_{k,j}
-            row = beta[k]
+
+def _sweep(d):
+    scale = 4 if d == 2 else d
+    beta, power, lifts = [], (None if d == 2 else []), []  # the square reads no row of H
+    if d == 2:
+        def rest(k, row, j, lo):  # [x^j](1 + B_k)^2 - 2 beta_{k,j}, row = beta[k]
             r = 2 * sum(map(mul, row[lo:(j + 1) // 2], row[j - lo:j // 2:-1]))
             return r + row[j // 2] ** 2 if j % 2 == 0 and j >= 2 * lo else r
     else:
-        power = [[1] + [0] * top for _ in range(levels)]
         g = 0  # gcd of the indices >= 1 of the nonzero entries written so far
 
-        def rest(k, j, lo):  # H_{k,j} - d beta_{k,j}
+        def rest(k, row_b, j, lo):  # H_{k,j} - d beta_{k,j}, row_b = beta[k]
             if not g or j % g:
                 return 0  # each term has a factor at an index off the multiples of g
-            row_b, row_h = beta[k], power[k]
+            row_h = power[k]
             a = -(-lo // g) * g  # the first multiple of g from lo
             weights = range((d + 1) * a - j, d * j, (d + 1) * g)  # (d + 1) i - j for i < j
             r, rem = divmod(sum(map(mul, map(mul, weights, row_b[a:j - lo + 1:g]),
                                     row_h[j - a:lo - 1:-g])), j)
             if rem:
-                raise ArithmeticError(f"column {j}, level {k}: inexact division by {j}")
+                raise ArithmeticError(f"d={d}, column {j}, level {k}: inexact division by {j}")
             return r
-    for j in range(1, top + 1):
-        k_star = choose_n(d, max(j - 1, 1))
-        # beta_{k,j} - d^k b_{j-1} and H_{k,j} - d beta_{k,j}, per level
-        provisional, rests, p = [], [], 0
-        for k in range(k_star):
-            lo = offsets[k]
-            r = rest(k, j, lo)
-            provisional.append(p)
-            rests.append(r)
-            p = d * p + r + (beta[0][j - lo] * lifts[k] if j >= lo else 0)
-        u, rem = divmod(-p, d**k_star)
-        if rem:
-            raise ArithmeticError(f"column {j}: inexact division by {d}^{k_star}")
-        for k in range(k_star):
-            beta[k][j] = d**k * u + provisional[k]
+    for j in count(1):
+        if j == 1 or j == d ** (len(beta) + 1) - 1:  # first read: level 0 at j = 1, level k at lo
+            for rows in (beta,) if power is None else (beta, power):
+                rows.append([1] + [0] * (j - 1))  # beta_{k,i} = H_{k,i} = 0 for 0 < i < lo
+        p = 0  # beta_{k,j} less its term d^k b_{j-1}; h is H_{k,j} less d^(k+1) b_{j-1}
+        for k, row in enumerate(beta):
+            lo = d ** (k + 1) - 1
+            if j == lo:  # lifts[k] = S^lo, not formed sooner: S^(d-1) can be huge
+                lifts.append(scale**lo)
+            h = d * p + rest(k, row, j, lo)
+            row.append(p)
             if power is not None:
-                power[k][j] = d * beta[k][j] + rests[k]
-                if beta[k][j] or power[k][j]:
+                power[k].append(h)
+            p = h + beta[0][j - lo] * lifts[k] if j >= lo else h  # the lift of 1 + B_0
+        u, rem = divmod(-p, d ** len(beta))  # beta_{k*,j} = 0
+        if rem:
+            raise ArithmeticError(f"d={d}, column {j}: inexact division by {d}^{len(beta)}")
+        for k, row in enumerate(beta):
+            row[j] += d**k * u
+            if power is not None:
+                power[k][j] += d ** (k + 1) * u
+                if row[j] or power[k][j]:
                     g = math.gcd(g, j)
-    return [rational(beta[0][j], scale**j) for j in range(1, top + 1)]
+        yield rational(beta[0][j], scale**j)
 
 
 def laurent_coefficient(d: int, m: int, *, method: str = METHOD_RESIDUE) -> CoeffRecord:

@@ -460,6 +460,22 @@ def test_out_of_memory_exits_3(capsys, monkeypatch, command):
     assert err == "multibrot: out of memory\n"
 
 
+@pytest.mark.parametrize("command", ["compute", "verify"])
+def test_inexact_division_exits_1(capsys, monkeypatch, command):
+    # a divmod that always leaves a remainder fails the sweep's division by
+    # d^k* at column 1; the error names the degree and the column
+    import multibrot.coeffs as coeffs_mod
+
+    def inexact(a, b):
+        return (a // b, 1)
+
+    monkeypatch.setattr(coeffs_mod, "divmod", inexact, raising=False)
+    code, out, err = run(capsys, command, "--d", "2", "--m-max", "10", "--threads", "1")
+    assert code == EXIT_VERIFICATION
+    assert out == ""
+    assert err == "multibrot: inexact division: d=2, column 1: inexact division by 2^1\n"
+
+
 @pytest.mark.parametrize("command", ["compute", "verify", "census"])
 def test_huge_degree(capsys, command):
     # every b_m with m <= 3 vanishes at d = 10^11; no power of size ~d is formed

@@ -282,10 +282,12 @@ class TestSweep:
         for m in range(1, 101):
             assert values[m] == coefficient_by_residue(d, m), (d, m)
 
-    @pytest.mark.parametrize("d", [3, 5])
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7])
     def test_prefixes_past_degree_two(self, d):
-        # the skip follows the indices of the entries computed so far,
-        # which depend only on the columns already swept
+        # every cut-off around each column d^(k+1) - 1 <= 61, where level k's
+        # lift is first read and, for k >= 1, its rows are made; for d >= 3
+        # the skip follows the indices of the entries computed so far, which
+        # depend only on the columns already swept
         full = coefficients_by_sweep(d, 60)
         for m_max in range(61):
             assert coefficients_by_sweep(d, m_max) == full[:m_max + 1], (d, m_max)
