@@ -257,7 +257,9 @@ def coefficients_by_sweep(d: int, m_max: int) -> list:
     when g does not divide j one of them is off the multiples of g, and
     the column's sum is 0; otherwise only the i that g divides can pair
     two nonzero entries.  The skip reads only computed values, never the
-    vanishing theorem (by which g settles at d - 1).
+    vanishing theorem (by which g settles at d - 1).  A zero column is
+    returned without forming S^j, which for a large degree costs far
+    more than the column itself.
     """
     require_int("degree d", d, 2)
     require_int("m_max", m_max, 0)
@@ -308,7 +310,7 @@ def _sweep(d):
                 power[k][j] += d ** (k + 1) * u
                 if row[j] or power[k][j]:
                     g = math.gcd(g, j)
-        yield rational(beta[0][j], scale**j)
+        yield rational(beta[0][j], scale**j) if beta[0][j] else ZERO
 
 
 def laurent_coefficient(d: int, m: int, *, method: str = METHOD_RESIDUE) -> CoeffRecord:
@@ -336,21 +338,12 @@ def laurent_coefficient(d: int, m: int, *, method: str = METHOD_RESIDUE) -> Coef
 
 
 def zero_census(d: int, m_max: int):
-    """All m <= m_max with b_m = 0, flagged by whether the vanishing is
-    explained by ``vanishes_by_divisibility`` (which covers m = 0 for d >= 3).
+    """Every m <= m_max at which ``coefficients_by_sweep(d, m_max)`` computed
+    b_m = 0, as (m, explained), in increasing m.
 
-    Unexplained candidates are found by full computation, one sweep up to
-    the last index the criterion leaves open (none when it leaves none
-    open); no pattern beyond the divisibility criterion is assumed.
+    Every listed zero is a value the sweep computed; ``explained`` is
+    ``vanishes_by_divisibility(d, m)`` read at that computed zero (it
+    covers m = 0 for d >= 3).  No pattern beyond that criterion is assumed.
     """
-    require_int("degree d", d, 2)
-    require_int("m_max", m_max, 0)
-    top = (m_max + 1) // (d - 1) * (d - 1) - 1
-    values = coefficients_by_sweep(d, top) if top >= 0 else []
-    zeros = []
-    for m in range(m_max + 1):
-        if vanishes_by_divisibility(d, m):
-            zeros.append((m, True))
-        elif values[m] == 0:
-            zeros.append((m, False))
-    return zeros
+    values = coefficients_by_sweep(d, m_max)
+    return [(m, vanishes_by_divisibility(d, m)) for m, value in enumerate(values) if value == 0]

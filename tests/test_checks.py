@@ -351,9 +351,20 @@ class TestOneFillPath:
         assert verdicts
         assert calls == [("coefficients_by_sweep", 2), ("coefficients_by_sweep", 3)]
 
-    def test_zero_census(self, calls):
+    def test_zero_census(self, calls, monkeypatch):
         assert (4, False) in zero_census(2, 60)
         assert calls == [("coefficients_by_sweep", 2)]
+        # every zero is computed, also where the criterion covers the whole range
+        calls.clear()
+        counted, swept_to = coeffs.coefficients_by_sweep, []
+
+        def recording(d, m_max):
+            swept_to.append(m_max)
+            return counted(d, m_max)
+
+        monkeypatch.setattr(coeffs, "coefficients_by_sweep", recording)
+        assert zero_census(5, 2) == [(0, True), (1, True), (2, True)]
+        assert calls == [("coefficients_by_sweep", 5)] and swept_to == [2]
 
     def test_full_pairs_are_swept_despite_a_cache(self, calls, values):
         cached = {key: value for key, value in values.items() if key[0] == 3}

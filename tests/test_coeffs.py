@@ -316,6 +316,21 @@ class TestSweep:
         # the lift S^(d-1) of level 0 is never read below m = d - 2
         assert coefficients_by_sweep(10**11, 3) == [0, 0, 0, 0]
 
+    @pytest.mark.parametrize("d, m_max", [(3, 60), (7, 60), (10**13, 200)])
+    def test_zero_columns_form_no_scale(self, monkeypatch, d, m_max):
+        # a zero column is returned as ZERO, never as rational(0, S^j): at
+        # d = 10^13, S^j has 13 j digits and would cost far more than the column
+        expected = coefficients_by_sweep(d, m_max)
+        real = coeffs.rational
+
+        def nonzero_only(numerator, denominator=1):
+            if numerator == 0:
+                raise AssertionError(f"rational(0, {denominator}) formed by the sweep")
+            return real(numerator, denominator)
+
+        monkeypatch.setattr(coeffs, "rational", nonzero_only)
+        assert coefficients_by_sweep(d, m_max) == expected
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             coefficients_by_sweep(1, 5)
@@ -467,6 +482,19 @@ class TestZeroCensus:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             zero_census(2, -1)
+
+    def test_lists_only_computed_zeros(self, monkeypatch):
+        # a sweep that computes b_2 != 0 at d = 3 gets no (2, True): the
+        # criterion flags a computed zero, it never stands in for one
+        real = coeffs.coefficients_by_sweep
+
+        def faulty(d, m_max):
+            values = real(d, m_max)
+            values[2] = rational(1, 3)
+            return values
+
+        monkeypatch.setattr(coeffs, "coefficients_by_sweep", faulty)
+        assert zero_census(3, 4) == [(0, True), (3, False), (4, True)]
 
     def test_degree_two_zeros_to_m1000(self, degree_two_table_m1000, monkeypatch):
         # step 4 to 16, step 8 from 24 to 96, step 16 from 112 to 448, then
