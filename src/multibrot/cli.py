@@ -3,8 +3,9 @@
 Subcommands: ``compute`` (coefficient tables), ``verify`` (bound checks
 with a machine-readable report), ``census`` (zero coefficients and
 whether the divisibility criterion explains them), and ``bench``
-(timings of the per-index routes or of the sweep, plus cross-method
-correctness hashes).
+(timings and table digests of the per-index routes or of the sweep).
+With ``--method both``, ``compute`` and ``bench`` compare two methods'
+values row by row and name the first differing ``(d, m)`` on stderr.
 
 Every command runs in one process.  ``compute``, ``verify`` and
 ``census`` read their values from one ``coefficients_by_sweep`` per
@@ -195,22 +196,33 @@ def _fraction_text(value) -> str:
     return "/".join(map(cache.int_to_text, value.as_integer_ratio()))
 
 
-def _swept_rows(degrees, m_max):
-    """(d, m, b_m) for every degree and m <= m_max, one sweep per degree."""
-    return [(d, m, value) for d in degrees
-            for m, value in enumerate(coeffs.coefficients_by_sweep(d, m_max))]
+def _rows(degrees, m_max, method=METHOD_SWEEP):
+    """(d, m, b_m) for every degree and m <= m_max: one sweep per degree,
+    or the per-index route ``method`` at each index."""
+    if method == METHOD_SWEEP:
+        return [(d, m, value) for d in degrees
+                for m, value in enumerate(coeffs.coefficients_by_sweep(d, m_max))]
+    return [(d, m, laurent_coefficient(d, m, method=method).value)
+            for d in degrees for m in range(m_max + 1)]
+
+
+def _disagreement(methods, rows_a, rows_b) -> bool:
+    """Whether two methods' rows differ; stderr names the first such (d, m) and both values."""
+    for (d, m, a), (_, _, b) in zip(rows_a, rows_b):
+        if a != b:
+            print(f"multibrot: method disagreement at d={d}, m={m}: "
+                  f"{methods[0]}={_fraction_text(a)}, "
+                  f"{methods[1]}={_fraction_text(b)}", file=sys.stderr)
+            return True
+    return False
 
 
 def cmd_compute(args) -> int:
-    rows = _swept_rows(args.d, args.m_max)
-    if args.method == "both":
-        for d, m, a in rows:
-            b = laurent_coefficient(d, m, method=METHOD_COMBINATORIAL).value
-            if a != b:
-                print(f"multibrot: method disagreement at d={d}, m={m}: "
-                      f"{METHOD_SWEEP}={_fraction_text(a)}, "
-                      f"combinatorial={_fraction_text(b)}", file=sys.stderr)
-                return EXIT_VERIFICATION
+    rows = _rows(args.d, args.m_max)
+    if args.method == "both" and _disagreement(
+            (METHOD_SWEEP, METHOD_COMBINATORIAL), rows,
+            _rows(args.d, args.m_max, METHOD_COMBINATORIAL)):
+        return EXIT_VERIFICATION
     if args.output == "csv":
         text = cache.format_table(rows)
     else:
@@ -263,36 +275,21 @@ def cmd_census(args) -> int:
     return EXIT_OK
 
 
-def _bench_one(args, method: str):
-    start = time.perf_counter()
-    if method == METHOD_SWEEP:
-        rows = _swept_rows(args.d, args.m_max)
-    else:
-        rows = [(d, m, laurent_coefficient(d, m, method=method).value)
-                for d in args.d for m in range(args.m_max + 1)]
-    elapsed = time.perf_counter() - start
-    peak_bits = 0
-    for _, _, value in rows:
-        peak_bits = max(peak_bits, value.numerator.bit_length(),
-                        value.denominator.bit_length())
-    digest = hashlib.sha256(cache.format_table(rows).encode("utf-8")).hexdigest()
-    return elapsed, peak_bits, digest
-
-
 def cmd_bench(args) -> int:
     methods = ([METHOD_RESIDUE, METHOD_COMBINATORIAL]
                if args.method == "both" else [args.method])
     print("method,seconds,peak_coeff_bits,sha256")
-    hashes = set()
+    tables = []
     for method in methods:
-        elapsed, peak_bits, digest = _bench_one(args, method)
-        hashes.add(digest)
+        start = time.perf_counter()
+        rows = _rows(args.d, args.m_max, method)
+        elapsed = time.perf_counter() - start
+        peak_bits = max(max(value.numerator.bit_length(), value.denominator.bit_length())
+                        for _, _, value in rows)
+        digest = hashlib.sha256(cache.format_table(rows).encode("utf-8")).hexdigest()
         print(f"{method},{elapsed:.3f},{peak_bits},{digest}")
-    if len(hashes) > 1:
-        print("multibrot bench: hash mismatch across runs; values disagree",
-              file=sys.stderr)
-        return EXIT_VERIFICATION
-    return EXIT_OK
+        tables.append(rows)
+    return EXIT_VERIFICATION if len(tables) > 1 and _disagreement(methods, *tables) else EXIT_OK
 
 
 def main(argv=None) -> int:

@@ -429,6 +429,26 @@ class TestBench:
         rows = [line.split(",") for line in out.splitlines()[1:]]
         assert len({row[3] for row in rows}) == 1
 
+    def test_method_disagreement_names_its_index(self, capsys, monkeypatch):
+        real = cli.laurent_coefficient
+
+        def skewed(d, m, *, method="residue"):
+            rec = real(d, m, method=method)
+            if method == "combinatorial" and m == 2:
+                return CoeffRecord(d, m, rec.value + 1, rec.method)
+            return rec
+
+        monkeypatch.setattr(cli, "laurent_coefficient", skewed)
+        code, out, err = run(capsys, "bench", "--d", "2", "--m-max", "3", "--method", "both")
+        assert code == EXIT_VERIFICATION
+        lines = out.splitlines()
+        assert lines[0] == "method,seconds,peak_coeff_bits,sha256"
+        rows = [line.split(",") for line in lines[1:]]
+        assert [row[0] for row in rows] == ["residue", "combinatorial"]
+        assert rows[0][3] != rows[1][3]
+        assert err == ("multibrot: method disagreement at d=2, m=2: "
+                       "residue=-1/4, combinatorial=3/4\n")
+
     def test_threads_compare_is_gone(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["bench", "--d", "2", "--m-max", "4", "--threads-compare", "2"])
