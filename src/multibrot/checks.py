@@ -18,8 +18,8 @@ predicate over exactly computed coefficients and returns a ``Verdict``:
   at infinitely many m (first: p=3, m=9), where the equality clause is
   then refuted by the exact coefficient too, so failing verdicts from
   this check are expected and are a finding, not a bug.
-* ``vanishing``: d >= 3 and (d-1) not dividing (m+1): the full,
-  non-shortcut computation returns exactly zero.
+* ``vanishing``: d >= 3 and (d-1) not dividing (m+1): the computed
+  coefficient is exactly zero.
 * ``integrality``: b * d^x is an integer for
   x = max_i ceil((nu_{p_i}(a!) + t_i*a) / t_i).
 * ``dadic``: every prime factor of the denominator divides d.
@@ -146,12 +146,12 @@ def check_yamashita(p: int, m: int, value) -> Verdict:
 
 
 def check_vanishing(d: int, m: int, value) -> Verdict:
-    """Full computation (shortcut disabled) must return exactly zero.
+    """A computed coefficient, not a cached one, must be exactly zero.
 
     ``value`` must come from a full computation, such as the degree's
     sweep (which ``suite_verdicts`` runs for every ``full`` pair, whatever
-    it was passed) or ``coefficient_by_residue``; a shortcut or cached
-    value would make the check vacuous.
+    it was passed) or either per-index route; a cached value would make
+    the check vacuous.
     """
     _require("vanishing", d, m)
     p_smallest = factorize(d)[0][0]
@@ -188,8 +188,8 @@ def _sort_key(v: Verdict):
 class Check(NamedTuple):
     """Where a check applies, and its verdicts on the value at one (d, m).
 
-    ``full`` checks need their coefficients computed without the
-    vanishing shortcut, so ``suite_verdicts`` computes those pairs in full.
+    ``full`` checks need their coefficients computed, not read from a
+    cache, so ``suite_verdicts`` computes those pairs in full.
     """
 
     applies: Callable[[int, int], bool]

@@ -55,7 +55,7 @@ class CoeffRecord(NamedTuple):
     method: str
 
 
-_poly_cache: dict[tuple[int, int], tuple[int, ...]] = {}
+_poly_cache: dict[tuple[int, int], dict[int, int]] = {}
 
 
 def _iterated_polynomial(d, n):
@@ -247,8 +247,8 @@ def coefficients_by_sweep(d: int, m_max: int) -> list:
     otherwise; the main bound makes every stored value an integer, and a
     product of columns i and j - i lands on scale S^j.  The only
     divisions are by d^k* and, for d >= 3, by j; a remainder raises
-    ``ArithmeticError``.  Columns are computed in full, without the
-    vanishing shortcut; terms are skipped only where level k is zero by
+    ``ArithmeticError``.  Columns are computed in full, never read off
+    the vanishing theorem; terms are skipped only where level k is zero by
     the recurrence above or, for d >= 3, where a factor is a computed
     zero.  There g is the gcd of the indices >= 1 of every nonzero
     beta_{k,j} or H_{k,j} written so far, at any level (g = 0 before the
@@ -317,9 +317,8 @@ def laurent_coefficient(d: int, m: int, *, method: str = METHOD_RESIDUE) -> Coef
     """The m-th exterior-map coefficient for degree d, with provenance.
 
     m = 0 is handled by the two directly-computed constants (-1/2 for
-    d = 2, 0 for d >= 3).  For d >= 3 and (d-1) not dividing (m+1) the
-    coefficient vanishes identically, and that zero is recorded without
-    series work; ``coefficient_by_residue`` computes it in full.
+    d = 2, 0 for d >= 3), recorded as ``METHOD_SPECIAL``; every m >= 1 is
+    computed in full by the route ``method`` names, at any degree.
     """
     require_int("degree d", d, 2)
     require_int("index m", m, 0)
@@ -328,8 +327,6 @@ def laurent_coefficient(d: int, m: int, *, method: str = METHOD_RESIDUE) -> Coef
     if m == 0:
         value = rational(-1, 2) if d == 2 else ZERO
         return CoeffRecord(d, m, value, METHOD_SPECIAL)
-    if vanishes_by_divisibility(d, m):
-        return CoeffRecord(d, m, ZERO, METHOD_SPECIAL)
     if method == METHOD_RESIDUE:
         value = coefficient_by_residue(d, m)
     else:

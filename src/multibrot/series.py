@@ -1,6 +1,6 @@
 """Formal expansions at infinity of iterated parameter polynomials.
 
-Polynomials are dense integer coefficient tuples, index = degree.  The
+Polynomials are maps {power: coefficient} of their nonzero terms.  The
 central object is the expansion of Q(z)^(m/D) at infinity for a monic
 degree-D polynomial Q: factoring Q(z) = z^D * (1 + u(1/z)) removes the
 fractional power from the data model, leaving an ordinary truncated
@@ -16,23 +16,22 @@ rational at the end.
 from __future__ import annotations
 
 from bisect import bisect_right
+from functools import reduce
 from math import gcd
 
 from .exact import divides_power, rational, require_int
 
 
 def poly_mul(a, b):
-    """Schoolbook product of dense coefficient sequences."""
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] += ai * bj
-    return tuple(out)
+    """Schoolbook product of sparse polynomials {power: coefficient}."""
+    out = {}
+    for i, ai in a.items():
+        for j, bj in b.items():
+            out[i + j] = out.get(i + j, 0) + ai * bj
+    return {power: c for power, c in out.items() if c}
 
 
-def iterate_parameter_polynomial(d: int, n: int) -> tuple[int, ...]:
+def iterate_parameter_polynomial(d: int, n: int) -> dict[int, int]:
     """n-th iterate of z -> z^d + c with the parameter tied to c = z.
 
     Q_1(z) = z^d + z and Q_{k+1}(z) = Q_k(z)^d + z; the result is monic
@@ -40,17 +39,9 @@ def iterate_parameter_polynomial(d: int, n: int) -> tuple[int, ...]:
     """
     require_int("degree d", d, 2)
     require_int("iteration order n", n, 1)
-    q = [0] * (d + 1)
-    q[1] = 1
-    q[d] = 1
-    q = tuple(q)
+    q = {d: 1, 1: 1}
     for _ in range(n - 1):
-        p = q
-        for _ in range(d - 1):
-            p = poly_mul(p, q)
-        p = list(p)
-        p[1] += 1
-        q = tuple(p)
+        q = reduce(poly_mul, [q] * d) | {1: 1}  # Q_k^d starts at z^d
     return q
 
 
@@ -84,11 +75,15 @@ def rational_power_tail(q_coeffs, exponent, order: int):
     which one modular power tests; any other factor (every one when
     b = 1) raises ``ArithmeticError``.  Only f_order is returned, as the
     one rational g_order / S, which reduces to lowest terms.
+
+    Only the u_i with i <= order are read, in one pass over Q's terms, so
+    the cost does not grow with D.  With s the gcd of their indices (any
+    s > order if there are none), u(w) = v(w^s): f_k = 0 off the multiples
+    of s, and f_(s k) is term k of (1 + v)^exponent, as s cancels from the
+    weights and from b s k.
     """
     require_int("order", order, 0)
-    degree = len(q_coeffs) - 1
-    while degree > 0 and q_coeffs[degree] == 0:
-        degree -= 1
+    degree = max(q_coeffs, default=0)
     if degree < 1 or q_coeffs[degree] != 1:
         raise ValueError("Q must be monic of degree >= 1")
     alpha = rational(exponent)
@@ -99,11 +94,19 @@ def rational_power_tail(q_coeffs, exponent, order: int):
     a, b = alpha.numerator, alpha.denominator
 
     # u_i is the coefficient of z^(D-i), i.e. of w^i after factoring z^D.
-    # Step k weighs u_i g_{k-i} by a*i - b(k-i) = (a+b)*i - b*k, so the
-    # part that does not depend on k is multiplied in once, here.
-    window = min(degree, order)
-    support = [i for i in range(1, window + 1) if q_coeffs[degree - i]]
-    terms = [(i, (a + b) * i * q_coeffs[degree - i], q_coeffs[degree - i]) for i in support]
+    u, stride = {}, 0
+    for power, c in q_coeffs.items():
+        if 0 < degree - power <= order:
+            u[degree - power] = c
+            stride = gcd(stride, degree - power)
+    stride = stride or order + 1  # u = 0 to w^order: f_k = 0 for 0 < k <= order
+    order, off_stride = divmod(order, stride)
+    if off_stride:
+        return rational(0)
+    # On indices divided by s, step k weighs u_i g_{k-i} by a*i - b(k-i) =
+    # (a+b)*i - b*k, so the part that does not depend on k is multiplied in once.
+    support = sorted(i // stride for i in u)
+    terms = [(i, (a + b) * i * u[i * stride], u[i * stride]) for i in support]
 
     scale = 1
     g = [0] * (order + 1)
@@ -117,7 +120,7 @@ def rational_power_tail(q_coeffs, exponent, order: int):
         if grow > 1:
             if not divides_power(grow, b):
                 raise ArithmeticError(
-                    f"tail term {k} of the power {alpha} has a denominator prime "
+                    f"tail term {k * stride} of the power {alpha} has a denominator prime "
                     f"not dividing {b}"
                 )
             grow *= b ** k.bit_length()

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import multibrot
-from multibrot import cache, cli, exact
+from multibrot import cache, cli, coeffs, exact
 from multibrot.cli import (
     EXIT_IO,
     EXIT_OK,
@@ -448,6 +448,28 @@ class TestBench:
         assert rows[0][3] != rows[1][3]
         assert err == ("multibrot: method disagreement at d=2, m=2: "
                        "residue=-1/4, combinatorial=3/4\n")
+
+    def test_both_compares_computed_zeros(self, capsys, monkeypatch):
+        # b_2 = 0 at d = 3 by the divisibility criterion; both routes must
+        # compute it, so a wrong partition sum there is a disagreement
+        real = coeffs.coefficient_by_partition_sum
+
+        def skewed(d, m, n):
+            return rational(1) if (d, m) == (3, 2) else real(d, m, n)
+
+        monkeypatch.setattr(coeffs, "coefficient_by_partition_sum", skewed)
+        code, _, err = run(capsys, "bench", "--d", "3", "--m-max", "4", "--method", "both")
+        assert code == EXIT_VERIFICATION
+        assert err == ("multibrot: method disagreement at d=3, m=2: "
+                       "residue=0/1, combinatorial=1/1\n")
+
+    def test_huge_degree_runs_both_routes(self, capsys):
+        code, out, err = run(capsys, "bench", "--d", "1000000000", "--m-max", "3",
+                             "--method", "both")
+        assert (code, err) == (EXIT_OK, "")
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert [row[0] for row in rows] == ["residue", "combinatorial"]
+        assert rows[0][3] == rows[1][3]
 
     def test_threads_compare_is_gone(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

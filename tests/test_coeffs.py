@@ -384,13 +384,31 @@ class TestDispatch:
             assert rec.value == 0
             assert rec.method == METHOD_SPECIAL
 
-    def test_vanishing_shortcut(self):
-        rec = laurent_coefficient(3, 2)
-        assert rec.value == 0 and rec.method == METHOD_SPECIAL
+    def test_every_index_is_computed_by_its_route(self, monkeypatch):
+        # the zeros of the divisibility criterion included: no index is
+        # answered from the criterion
+        def refuse(d, m):
+            raise AssertionError(f"vanishes_by_divisibility({d}, {m}) read per index")
+
+        monkeypatch.setattr(coeffs, "vanishes_by_divisibility", refuse)
+        for d in range(3, 8):
+            swept = coefficients_by_sweep(d, 60)
+            for method in (METHOD_RESIDUE, METHOD_COMBINATORIAL):
+                for m in range(1, 61):
+                    rec = laurent_coefficient(d, m, method=method)
+                    assert (rec.value, rec.method) == (swept[m], method)
+        assert laurent_coefficient(3, 2).method == METHOD_RESIDUE
 
     def test_shortcut_can_be_disabled(self):
-        # the full computation behind the shortcut's zero
+        # the residue route computes a vanishing index's zero in full
         assert coefficient_by_residue(3, 2) == 0
+
+    def test_huge_degree_is_computed_by_both_routes(self):
+        d = 10**13
+        for method in (METHOD_RESIDUE, METHOD_COMBINATORIAL):
+            for m in (1, 2, 3, 10**5):  # the window to w^(m+1) holds no term of Q_1
+                assert laurent_coefficient(d, m, method=method) == (d, m, 0, method)
+        assert coeffs._poly_cache[d, 1] == {d: 1, 1: 1}  # a two-term Q_1
 
     def test_degree_two_never_shortcuts(self):
         rec = laurent_coefficient(2, 4)
@@ -591,7 +609,7 @@ class TestZeroCensus:
     (vanishes_by_divisibility, (2.5, 3), "degree d", 2),
     (vanishes_by_divisibility, (2, -1), "index m", 0),
     (series.iterate_parameter_polynomial, (2.0, 1), "degree d", 2),
-    (series.rational_power_tail, ((0, 1, 1), rational(1, 2), 2.0), "order", 0),
+    (series.rational_power_tail, ({2: 1, 1: 1}, rational(1, 2), 2.0), "order", 0),
     (exact.factorial_valuation, (2.5, 2), "m", 0),
     (binomial_general, (rational(1, 2), 1.0), "j", 0),
 ])
