@@ -91,10 +91,6 @@ def choose_n(d: int, m: int) -> int:
     return n
 
 
-def _check_order(d, m, n):
-    require_int("iteration order n", n, choose_n(d, m))
-
-
 def coefficient_by_residue(d: int, m: int, n: int | None = None):
     """Exact b_m via the residue at infinity of Q_n(z)^(m/d^n).
 
@@ -102,9 +98,9 @@ def coefficient_by_residue(d: int, m: int, n: int | None = None):
     expanded at infinity, to -1/m times the coefficient of z^-1; that
     term sits exactly at tail order m + 1 past the leading power.
     """
-    if n is None:
-        n = choose_n(d, m)
-    _check_order(d, m, n)
+    least = choose_n(d, m)
+    n = least if n is None else n
+    require_int("iteration order n", n, least)
     q = _iterated_polynomial(d, n)
     return -rational_power_tail(q, rational(m, d**n), m + 1) / m
 
@@ -174,7 +170,7 @@ def coefficient_by_partition_sum(d: int, m: int, n: int):
     multiplied out once per j, down from 1 at j = T, so no division
     happens at a leaf.  The route builds one rational at the end.
     """
-    _check_order(d, m, n)
+    require_int("iteration order n", n, choose_n(d, m))
     top = (m + 1) // (d - 1)
     leaf = [1] * (top + 1)  # leaf[j] = C / (j! d^j), from leaf[T] = 1 down
     for j in range(top, 0, -1):
@@ -268,7 +264,8 @@ def coefficients_by_sweep(d: int, m_max: int) -> list:
 
 def _sweep(d):
     scale = 4 if d == 2 else d
-    beta, power, lifts = [], (None if d == 2 else []), []  # the square reads no row of H
+    beta, lifts, dk = [[1]], [], [1, d]  # level 0 holds column 0; dk[k] = d^k for k <= len(beta)
+    power = None if d == 2 else [[1]]  # the square reads no row of H
     if d == 2:
         def rest(k, row, j, lo):  # [x^j](1 + B_k)^2 - 2 beta_{k,j}, row = beta[k]
             r = 2 * sum(map(mul, row[lo:(j + 1) // 2], row[j - lo:j // 2:-1]))
@@ -288,12 +285,13 @@ def _sweep(d):
                 raise ArithmeticError(f"d={d}, column {j}, level {k}: inexact division by {j}")
             return r
     for j in count(1):
-        if j == 1 or j == d ** (len(beta) + 1) - 1:  # first read: level 0 at j = 1, level k at lo
+        if j == dk[-1] * d - 1:  # the next level k is first read at its lo = d^(k+1) - 1
             for rows in (beta,) if power is None else (beta, power):
                 rows.append([1] + [0] * (j - 1))  # beta_{k,i} = H_{k,i} = 0 for 0 < i < lo
+            dk.append(dk[-1] * d)
         p = 0  # beta_{k,j} less its term d^k b_{j-1}; h is H_{k,j} less d^(k+1) b_{j-1}
         for k, row in enumerate(beta):
-            lo = d ** (k + 1) - 1
+            lo = dk[k + 1] - 1
             if j == lo:  # lifts[k] = S^lo, not formed sooner: S^(d-1) can be huge
                 lifts.append(scale**lo)
             h = d * p + rest(k, row, j, lo)
@@ -301,13 +299,13 @@ def _sweep(d):
             if power is not None:
                 power[k].append(h)
             p = h + beta[0][j - lo] * lifts[k] if j >= lo else h  # the lift of 1 + B_0
-        u, rem = divmod(-p, d ** len(beta))  # beta_{k*,j} = 0
+        u, rem = divmod(-p, dk[-1])  # beta_{k*,j} = 0
         if rem:
             raise ArithmeticError(f"d={d}, column {j}: inexact division by {d}^{len(beta)}")
         for k, row in enumerate(beta):
-            row[j] += d**k * u
+            row[j] += dk[k] * u
             if power is not None:
-                power[k][j] += d ** (k + 1) * u
+                power[k][j] += dk[k + 1] * u
                 if row[j] or power[k][j]:
                     g = math.gcd(g, j)
         yield rational(beta[0][j], scale**j) if beta[0][j] else ZERO

@@ -440,6 +440,26 @@ class TestDadicRationality:
                     den //= p
             assert den == 1, f"b({d},{m}) = {value} is not {d}-adic"
 
+    def test_degree_two_exponent_bands_at_even_m(self, degree_two_table_m1000):
+        # Data, no rule: at even m in 200..1000, -nu_2(b_m) / m sits in a
+        # band set by nu_2(m), far below the zagier bound ~2m of odd m.  The
+        # values come from the session's d = 2 sweep; each entry is
+        # (nonzero count, least ratio, greatest ratio).
+        values = [value for _, _, value in degree_two_table_m1000[1]]
+        bands = {}
+        for m in range(200, 1001, 2):
+            if values[m]:
+                ratio = rational(-padic_valuation(values[m], 2), m)
+                bands.setdefault(padic_valuation(m, 2), []).append(ratio)
+        assert {k: (len(r), min(r), max(r)) for k, r in bands.items()} == {
+            1: (200, rational(9, 14), rational(513, 770)),
+            2: (100, rational(29, 110), rational(261, 916)),
+            3: (51, rational(29, 264), rational(77, 584)),
+            4: (17, rational(1, 16), rational(15, 232)),
+        }
+        deep = [m for m in range(2, 1001, 2) if padic_valuation(m, 2) >= 5]
+        assert len(deep) == 31 and not any(values[m] for m in deep)
+
 
 class TestDynamicalInversion:
     """End-to-end sanity: the series really is the inverse uniformization.
