@@ -33,7 +33,8 @@ which (d, m) each check applies and whether it reads fully computed
 coefficients; ``suite_verdicts`` reads it through ``applicable`` and
 sweeps each degree once before any check runs, and every ``check_*``
 function raises ``ValueError`` where it says the check does not apply
-and at every (d, m) that indexes no coefficient.
+and at every (d, m) that indexes no coefficient.  A report lists the
+verdicts in their own field order, in which (check, d, m, p) is unique.
 """
 
 from __future__ import annotations
@@ -53,6 +54,7 @@ from .exact import (
     require_int,
 )
 from . import coeffs
+from .coeffs import _divisible
 
 REPORT_HEADER = "#multibrot-verdicts v1"
 
@@ -181,10 +183,6 @@ def check_dadic(d: int, m: int, value) -> Verdict:
     return Verdict("dadic", d, m, None, None, None, None, None, passed)
 
 
-def _sort_key(v: Verdict):
-    return (v.check, v.d, v.m, v.p if v.p is not None else -1)
-
-
 class Check(NamedTuple):
     """Where a check applies, and its verdicts on the value at one (d, m).
 
@@ -195,10 +193,6 @@ class Check(NamedTuple):
     applies: Callable[[int, int], bool]
     verdicts: Callable[[int, int, object], list[Verdict]]
     full: bool = False
-
-
-def _divisible(d, m):  # not vanishes_by_divisibility(d, m), on a d and m already guarded
-    return (m + 1) % (d - 1) == 0
 
 
 CHECKS = {
@@ -262,38 +256,24 @@ def suite_verdicts(degrees, m_max: int, checks, cached=None) -> list[Verdict]:
     return verdicts
 
 
-def _extended_str(x) -> str:
-    if x is None:
-        return "-"
-    if x is NEG_INF:
-        return "neg_inf"
-    if x is POS_INF:
-        return "inf"
-    return str(x)
-
-
-def _bool_str(x) -> str:
-    if x is None:
-        return "-"
-    return "true" if x else "false"
+# The report text of the values that ``str`` does not spell.  The tables
+# stay apart: as a key, True equals 1 and False equals 0.
+_NUMBER_TEXT = {None: "-", NEG_INF: "neg_inf", POS_INF: "inf"}
+_FLAG_TEXT = {None: "-", True: "true", False: "false"}
 
 
 def verdict_line(v: Verdict) -> str:
-    return ",".join(
-        (
-            v.check,
-            str(v.d),
-            str(v.m),
-            str(v.p) if v.p is not None else "-",
-            _extended_str(v.bound),
-            _extended_str(v.attained),
-            _bool_str(v.equality_predicted),
-            _bool_str(v.equality_observed),
-            _bool_str(v.passed),
-        )
-    )
+    check, d, m, p, bound, attained, predicted, observed, passed = v
+    number = _NUMBER_TEXT.get
+    return ",".join((check, str(d), str(m), number(p) or str(p),
+                     number(bound) or str(bound), number(attained) or str(attained),
+                     _FLAG_TEXT[predicted], _FLAG_TEXT[observed], _FLAG_TEXT[passed]))
 
 
 def format_report(verdicts) -> str:
-    lines = [verdict_line(v) for v in sorted(verdicts, key=_sort_key)]
+    """The checksummed report, one line per verdict in the Verdict's own
+    field order.  (check, d, m, p) is unique per verdict the library
+    makes, and each check sets p always or never, so the sort compares
+    no later field and no None with an int."""
+    lines = [verdict_line(v) for v in sorted(verdicts)]
     return checksummed_text(REPORT_HEADER, lines)

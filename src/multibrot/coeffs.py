@@ -73,7 +73,11 @@ def vanishes_by_divisibility(d: int, m: int) -> bool:
     """
     require_int("degree d", d, 2)
     require_int("index m", m, 0)
-    return (m + 1) % (d - 1) != 0
+    return not _divisible(d, m)
+
+
+def _divisible(d, m):  # not vanishes_by_divisibility(d, m), unguarded
+    return (m + 1) % (d - 1) == 0
 
 
 def choose_n(d: int, m: int) -> int:
@@ -155,8 +159,8 @@ def coefficient_by_partition_sum(d: int, m: int, n: int):
         c_0 + a_0 / b_0 (c_1 + a_1 / b_1 (c_2 + ...)),
         a_i = m - s D_k - i D_k,  b_i = (i+1) D_k,
 
-    one product and one division by a small int per edge.  The fold
-    stops at the first zero a_i, which every larger j shares.
+    one product and one division by a small int per edge, from the
+    largest j down; no j past the first zero a_i is summed.
 
     Those divisions are exact.  Every completion from remaining weight r
     has a denominator dividing T(r)! d^T(r): at the last level j = T(r),
@@ -191,16 +195,13 @@ def coefficient_by_partition_sum(d: int, m: int, n: int):
         top_j = remaining // weight
         if start % step == 0 and 0 <= start // step < top_j:
             top_j = start // step  # every larger j has the factor start - top_j * step = 0
-        children = []
-        for j in range(top_j + 1):
-            children.append(subtree(k + 1, remaining - j * weight, d * (shift + j)))
         total = 0  # Horner: child_j + (start - j step) / ((j+1) step) * (the sum past j)
         for j in range(top_j, -1, -1):
             if total:
                 total, r = divmod((start - j * step) * total, (j + 1) * step)
                 if r:
                     raise _inexact(k, remaining, shift, j)
-            total += children[j]
+            total += subtree(k + 1, remaining - j * weight, d * (shift + j))
         return total
 
     total = subtree(0, m + 1, 0)
@@ -337,8 +338,8 @@ def zero_census(d: int, m_max: int):
     b_m = 0, as (m, explained), in increasing m.
 
     Every listed zero is a value the sweep computed; ``explained`` is
-    ``vanishes_by_divisibility(d, m)`` read at that computed zero (it
-    covers m = 0 for d >= 3).  No pattern beyond that criterion is assumed.
+    ``vanishes_by_divisibility``'s criterion, read unguarded at that zero
+    (it covers m = 0 for d >= 3).  No pattern beyond it is assumed.
     """
     values = coefficients_by_sweep(d, m_max)
-    return [(m, vanishes_by_divisibility(d, m)) for m, value in enumerate(values) if value == 0]
+    return [(m, not _divisible(d, m)) for m, value in enumerate(values) if value == 0]

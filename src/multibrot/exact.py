@@ -54,7 +54,8 @@ MAX_DEGREE = 10**13
 
 # ``fractions`` imports ``decimal`` anyway.  Arithmetic on an infinity
 # returns an equal Decimal, not one of these objects, so ``is`` tests
-# only values that the library returns as they are.
+# only values that the library returns as they are.  Report text matches
+# an infinity by equality, so an equal Decimal prints as these do.
 POS_INF = Decimal("Infinity")
 NEG_INF = -POS_INF
 

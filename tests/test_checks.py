@@ -319,7 +319,7 @@ class TestSuite:
         rng.shuffle(names)
         rng.shuffle(degrees)
         verdicts = suite_verdicts(degrees, 60, names, values)
-        keys = list(map(checks._sort_key, verdicts))
+        keys = [v[:4] for v in verdicts]
         assert keys == sorted(set(keys))
         assert len(verdicts) == 1350
         assert verdicts == suite_verdicts([2, 3, 4, 5, 6, 9, 12], 60, list(CHECK_NAMES), values)
@@ -487,6 +487,15 @@ class TestReportFormat:
         v = check_zagier(4, values[2, 4])
         line = verdict_line(v)
         assert line == "zagier,2,4,2,8,neg_inf,false,false,true"
+
+    @pytest.mark.parametrize("verdict, line", [
+        (check_ewing_schober(0, rational(-1, 2)), "ewing-schober,2,0,2,1,1,-,-,true"),
+        (*check_main(2, 0, rational(-1, 2)), "main,2,0,2,1,1,true,true,true"),
+    ], ids=["ewing-schober", "main"])
+    def test_numbers_zero_and_one_are_not_flags(self, verdict, line):
+        # as dict keys True equals 1 and False equals 0, so a number read
+        # as a flag would print as true or false
+        assert verdict_line(verdict) == line
 
     def test_bound_only_checks_serialize_dashes(self, values):
         line = verdict_line(check_ewing_schober(4, values[2, 4]))
