@@ -30,7 +30,7 @@ satisfies every bound and never counts as equality against a finite one.
 Every ``check_*`` function judges the one coefficient value it is
 passed and computes none.  ``CHECKS`` is the one place that declares at
 which (d, m) each check applies and whether it reads fully computed
-coefficients; ``suite_verdicts`` reads it through ``applicable`` and
+coefficients; ``suite_verdicts`` lists its own (check, d, m) from it and
 sweeps each degree once before any check runs, and every ``check_*``
 function raises ``ValueError`` where it says the check does not apply
 and at every (d, m) that indexes no coefficient.  A report lists the
@@ -212,27 +212,11 @@ CHECKS = {
 CHECK_NAMES = tuple(CHECKS)
 
 
-def applicable(degrees, m_max: int, checks):
-    """(name, d, m) for every requested check at every index where it
-    applies, in ascending order, each triple once."""
-    unknown = [c for c in checks if c not in CHECKS]
-    if unknown:
-        raise ValueError(f"unknown check names: {', '.join(unknown)}")
-    for d in degrees:
-        require_int("degree d", d, 2)
-    require_int("m_max", m_max, 0)
-    for name in sorted(set(checks)):
-        applies = CHECKS[name].applies
-        for d in sorted(set(degrees)):
-            for m in range(m_max + 1):
-                if applies(d, m):
-                    yield name, d, m
-
-
 def suite_verdicts(degrees, m_max: int, checks, cached=None) -> list[Verdict]:
     """Every applicable verdict for the requested checks, sorted by
-    (check, d, m, p) so that two runs diff cleanly: ``applicable`` yields
-    (check, d, m) in order, and ``check_main`` judges d's primes in the
+    (check, d, m, p) so that two runs diff cleanly: the suite lists its
+    own (check, d, m) where ``CHECKS[check].applies``, each once and in
+    ascending order, and ``check_main`` judges d's primes in the
     ascending order ``factorize`` lists them.
 
     ``cached`` maps (d, m) to a value that is judged as given, except at
@@ -240,7 +224,14 @@ def suite_verdicts(degrees, m_max: int, checks, cached=None) -> list[Verdict]:
     value computed anew.  Each degree is swept once, up to the largest
     index that the cache does not cover or that a full pair needs.
     """
-    todo = list(applicable(degrees, m_max, checks))
+    unknown = [c for c in checks if c not in CHECKS]
+    if unknown:
+        raise ValueError(f"unknown check names: {', '.join(unknown)}")
+    for d in degrees:
+        require_int("degree d", d, 2)
+    require_int("m_max", m_max, 0)
+    todo = [(name, d, m) for name in sorted(set(checks)) for d in sorted(set(degrees))
+            for m in range(m_max + 1) if CHECKS[name].applies(d, m)]
     full = {(d, m) for name, d, m in todo if CHECKS[name].full}
     kept = {key: value for key, value in (cached or {}).items() if key not in full}
     tops = {}

@@ -128,6 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--method", choices=methods, default=method_default)
 
     p_compute = sub.add_parser("compute", help="compute a coefficient table")
+    p_compute.set_defaults(run=cmd_compute)
     common(p_compute, methods=(METHOD_SWEEP, "both"), method_default=METHOD_SWEEP)
     p_compute.add_argument("--cache", default=None, metavar="PATH",
                            help="write the table here instead of stdout "
@@ -135,6 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_compute.add_argument("--output", choices=("csv", "json-lines"), default="csv")
 
     p_verify = sub.add_parser("verify", help="run bound checks and emit a report")
+    p_verify.set_defaults(run=cmd_verify)
     common(p_verify)
     p_verify.add_argument("--checks", action="append", default=None,
                           metavar="NAME[,NAME...]",
@@ -145,11 +147,13 @@ def build_parser() -> argparse.ArgumentParser:
                           help="preload coefficients from this table")
 
     p_census = sub.add_parser("census", help="list zero coefficients")
+    p_census.set_defaults(run=cmd_census)
     common(p_census)
     p_census.add_argument("--output", choices=("csv", "json-lines"), default="csv")
 
     p_bench = sub.add_parser("bench", help="time the per-index routes or the sweep; "
                                            "hashes double as correctness checks")
+    p_bench.set_defaults(run=cmd_bench)
     common(p_bench, methods=(METHOD_RESIDUE, METHOD_COMBINATORIAL, METHOD_SWEEP, "both"),
            method_default="both")
 
@@ -300,14 +304,8 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"multibrot: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    handlers = {
-        "compute": cmd_compute,
-        "verify": cmd_verify,
-        "census": cmd_census,
-        "bench": cmd_bench,
-    }
     try:
-        return handlers[args.command](args)
+        return args.run(args)
     except cache.CacheFormatError as exc:
         print(f"multibrot: bad coefficient table: {exc}", file=sys.stderr)
         return EXIT_IO

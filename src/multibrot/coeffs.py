@@ -66,17 +66,10 @@ def _iterated_polynomial(d, n):
     return poly
 
 
-def vanishes_by_divisibility(d: int, m: int) -> bool:
-    """True when (d-1) does not divide (m+1), which forces b_m = 0.
-
-    Never true for d = 2; true at m = 0 for every d >= 3.
-    """
-    require_int("degree d", d, 2)
-    require_int("index m", m, 0)
-    return not _divisible(d, m)
-
-
-def _divisible(d, m):  # not vanishes_by_divisibility(d, m), unguarded
+def _divisible(d, m):
+    """Whether (d-1) divides (m+1); where not, b_m = 0 (at m = 0 for every
+    d >= 3, never for d = 2).  The criterion's one reader, unguarded: d and
+    m are not checked."""
     return (m + 1) % (d - 1) == 0
 
 
@@ -338,8 +331,8 @@ def zero_census(d: int, m_max: int):
     b_m = 0, as (m, explained), in increasing m.
 
     Every listed zero is a value the sweep computed; ``explained`` is
-    ``vanishes_by_divisibility``'s criterion, read unguarded at that zero
-    (it covers m = 0 for d >= 3).  No pattern beyond it is assumed.
+    ``not _divisible(d, m)``, the divisibility criterion read at that
+    zero (it covers m = 0 for d >= 3).  No pattern beyond it is assumed.
     """
     values = coefficients_by_sweep(d, m_max)
     return [(m, not _divisible(d, m)) for m, value in enumerate(values) if value == 0]

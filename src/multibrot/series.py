@@ -86,12 +86,11 @@ def rational_power_tail(q_coeffs, exponent, order: int):
     degree = max(q_coeffs, default=0)
     if degree < 1 or q_coeffs[degree] != 1:
         raise ValueError("Q must be monic of degree >= 1")
-    alpha = rational(exponent)
-    if (alpha * degree).denominator != 1:
+    a, b = exponent.numerator, exponent.denominator
+    if degree % b:
         raise ValueError(
-            f"exponent {alpha} times degree {degree} must be an integer leading power"
+            f"exponent {exponent} times degree {degree} must be an integer leading power"
         )
-    a, b = alpha.numerator, alpha.denominator
 
     # u_i is the coefficient of z^(D-i), i.e. of w^i after factoring z^D.
     u, stride = {}, 0
@@ -120,7 +119,7 @@ def rational_power_tail(q_coeffs, exponent, order: int):
         if grow > 1:
             if not divides_power(grow, b):
                 raise ArithmeticError(
-                    f"tail term {k * stride} of the power {alpha} has a denominator prime "
+                    f"tail term {k * stride} of the power {exponent} has a denominator prime "
                     f"not dividing {b}"
                 )
             grow *= b ** k.bit_length()

@@ -311,7 +311,7 @@ class TestSuite:
         assert keys == sorted(keys)
 
     def test_shuffled_duplicated_requests_come_sorted(self, values):
-        # applicable yields (check, d, m) in order and check_main takes the
+        # the suite lists (check, d, m) in order and check_main takes the
         # primes in order, so the suite's verdicts need no sort of their own
         names = list(CHECK_NAMES) * 2
         degrees = [2, 3, 4, 5, 6, 9, 12] * 2

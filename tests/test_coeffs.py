@@ -17,7 +17,6 @@ from multibrot.coeffs import (
     coefficients_by_sweep,
     laurent_coefficient,
     partition_index_tuples,
-    vanishes_by_divisibility,
     zero_census,
 )
 from multibrot.exact import binomial_general, factorize, padic_valuation, rational
@@ -62,6 +61,55 @@ def degree_two_zero_block_rule(m_max):
         zeros += [step * k for k in range(low, 4 * low + 1) if step * k <= m_max]
         n += 1
     return zeros
+
+
+def exponent_bands(values, p, top):
+    """Data, no rule: -nu_p(b_m) / a at each m from 200 to len(values) - 1
+    with (p-1) | (m+1) and p | m, where the main bound predicts a strict
+    inequality; a = m for p = 2 and a = (m+1)/(p-1) otherwise.  Keyed by
+    nu_p(m), with key ``top`` gathering every nu_p(m) from it up; each
+    entry is (nonzero count, count, least ratio, greatest ratio)."""
+    bands = {}
+    for m in range(200, len(values)):
+        if (m + 1) % (p - 1) == 0 and m % p == 0:
+            a = m if p == 2 else (m + 1) // (p - 1)
+            ratio = rational(-padic_valuation(values[m], p), a) if values[m] else None
+            bands.setdefault(min(padic_valuation(m, p), top), []).append(ratio)
+    found = {}
+    for nu, ratios in bands.items():
+        nonzero = [r for r in ratios if r is not None]
+        found[nu] = (len(nonzero), len(ratios), min(nonzero, default=None),
+                     max(nonzero, default=None))
+    return found
+
+
+# exponent_bands of the sweeps to m = 2000.  b_1952 is the one nonzero b_m
+# with nu_2(m) >= 5 there; to m = 1000 every such b_m is zero.
+BANDS_TO_M2000 = {
+    2: {1: (450, 450, rational(9, 14), rational(1025, 1538)),
+        2: (225, 225, rational(29, 110), rational(517, 1812)),
+        3: (113, 113, rational(29, 264), rational(141, 1064)),
+        4: (49, 57, rational(17, 308), rational(15, 232)),
+        5: (1, 28, rational(31, 976), rational(31, 976)), 6: (0, 28, None, None)},
+    3: {1: (200, 200, rational(36, 107), rational(367, 980)),
+        2: (63, 67, rational(45, 428), rational(3, 26)), 3: (0, 33, None, None)},
+    5: {1: (69, 72, rational(29, 149), rational(6, 29)), 2: (0, 18, None, None)},
+    7: {1: (21, 37, rational(47, 328), rational(7, 48)), 2: (0, 6, None, None)},
+}
+
+
+def keep_sweeps(monkeypatch):
+    """Patch ``coeffs.coefficients_by_sweep`` to keep the last table it
+    returns per degree; returns the dict {d: table} it fills."""
+    swept = {}
+    real = coeffs.coefficients_by_sweep
+
+    def keep(d, m_max):
+        swept[d] = real(d, m_max)
+        return swept[d]
+
+    monkeypatch.setattr(coeffs, "coefficients_by_sweep", keep)
+    return swept
 
 
 class TestChooseN:
@@ -116,8 +164,8 @@ class TestResidueRoute:
             coefficient_by_residue(2, 1, 0)
 
     def test_builds_a_bounded_number_of_rationals(self, monkeypatch):
-        # the series builds the exponent and the one tail term it returns,
-        # however many terms the recurrence runs through
+        # the series builds only the one tail term it returns, however many
+        # terms the recurrence runs through
         calls = []
 
         def counting(*args):
@@ -129,7 +177,7 @@ class TestResidueRoute:
             for m in range(1, 41):
                 before = len(calls)
                 coefficient_by_residue(d, m)
-                assert len(calls) - before == 2, (d, m)
+                assert len(calls) - before == 1, (d, m)
 
 
 class TestPartitionIndexTuples:
@@ -298,9 +346,9 @@ class TestSweep:
         expected = {d: coefficients_by_sweep(d, 120) for d in range(3, 7)}
 
         def refuse(d, m):
-            raise AssertionError(f"vanishes_by_divisibility({d}, {m}) read by the sweep")
+            raise AssertionError(f"_divisible({d}, {m}) read by the sweep")
 
-        monkeypatch.setattr(coeffs, "vanishes_by_divisibility", refuse)
+        monkeypatch.setattr(coeffs, "_divisible", refuse)
         for d, values in expected.items():
             assert coefficients_by_sweep(d, 120) == values, d
 
@@ -388,9 +436,9 @@ class TestDispatch:
         # the zeros of the divisibility criterion included: no index is
         # answered from the criterion
         def refuse(d, m):
-            raise AssertionError(f"vanishes_by_divisibility({d}, {m}) read per index")
+            raise AssertionError(f"_divisible({d}, {m}) read per index")
 
-        monkeypatch.setattr(coeffs, "vanishes_by_divisibility", refuse)
+        monkeypatch.setattr(coeffs, "_divisible", refuse)
         for d in range(3, 8):
             swept = coefficients_by_sweep(d, 60)
             for method in (METHOD_RESIDUE, METHOD_COMBINATORIAL):
@@ -467,25 +515,10 @@ class TestDadicRationality:
         (7, {1: (6, 16, rational(23, 160), rational(7, 48)), 2: (0, 3, None, None)}),
     ])
     def test_prime_degree_exponent_bands_where_main_is_strict(self, p, expected):
-        # Data, no rule: at m in 200..1000 with (p-1) | (m+1) and p | m, the
-        # main bound predicts a strict inequality, and -nu_p(b_m) / a with
-        # a = (m+1)/(p-1) sits in a band set by nu_p(m).  Each entry is
-        # (nonzero count, count, least ratio, greatest ratio); the last key
-        # gathers every nu_p(m) from it up, where every b_m is zero.  The
-        # sweeps take about 0.3, 0.08 and 0.03 s on a 2-vCPU VM.
-        values = coefficients_by_sweep(p, 1000)
-        bands = {}
-        for m in range(200, 1001):
-            if (m + 1) % (p - 1) == 0 and m % p == 0:
-                a = (m + 1) // (p - 1)
-                ratio = rational(-padic_valuation(values[m], p), a) if values[m] else None
-                bands.setdefault(min(padic_valuation(m, p), max(expected)), []).append(ratio)
-        found = {}
-        for nu, ratios in bands.items():
-            nonzero = [r for r in ratios if r is not None]
-            found[nu] = (len(nonzero), len(ratios), min(nonzero, default=None),
-                         max(nonzero, default=None))
-        assert found == expected
+        # at m in 200..1000, -nu_p(b_m) / a sits in a band set by nu_p(m),
+        # and every b_m in the last band is zero.  The sweeps take about
+        # 0.3, 0.08 and 0.03 s on a 2-vCPU VM.
+        assert exponent_bands(coefficients_by_sweep(p, 1000), p, max(expected)) == expected
 
 
 class TestDynamicalInversion:
@@ -514,17 +547,15 @@ class TestDynamicalInversion:
 
 class TestVanishesByDivisibility:
     def test_never_for_degree_two(self):
-        assert not any(vanishes_by_divisibility(2, m) for m in range(100))
+        assert all(coeffs._divisible(2, m) for m in range(100))
 
     def test_degree_four(self):
         # (d-1) = 3 divides m+1 exactly at m = 2, 5, 8, ...
-        assert [m for m in range(10) if not vanishes_by_divisibility(4, m)] == [2, 5, 8]
+        assert [m for m in range(10) if coeffs._divisible(4, m)] == [2, 5, 8]
 
     @pytest.mark.parametrize("d", [1, 0, -1])
     def test_degrees_below_two_are_value_errors(self, d):
         # d = 1 would divide by d - 1 = 0 in every caller that reaches the criterion
-        with pytest.raises(ValueError, match="degree d must be >= 2"):
-            vanishes_by_divisibility(d, 3)
         with pytest.raises(ValueError, match="degree d must be >= 2"):
             zero_census(d, 5)
         with pytest.raises(ValueError, match="degree d must be >= 2"):
@@ -582,7 +613,7 @@ class TestZeroCensus:
     def assert_zeros_of_degrees_four_to_seven(d, m_max):
         zeros = zero_census(d, m_max)
         assert [m for m, explained in zeros if explained] == [
-            m for m in range(m_max + 1) if vanishes_by_divisibility(d, m)]
+            m for m in range(m_max + 1) if not coeffs._divisible(d, m)]
         assert [m for m, explained in zeros if not explained] == [
             m for m in UNEXPLAINED_ZEROS_TO_M2000[d] if m <= m_max]
 
@@ -593,9 +624,13 @@ class TestZeroCensus:
 
     @pytest.mark.slow
     @pytest.mark.parametrize("d", sorted(UNEXPLAINED_ZEROS_TO_M2000))
-    def test_zeros_to_m2000_for_degrees_four_to_seven(self, d):
-        # about 1-3 s each; observed, not explained
+    def test_zeros_to_m2000_for_degrees_four_to_seven(self, d, monkeypatch):
+        # about 1-3 s each; observed, not explained.  The exponent bands of
+        # the prime degrees read the same sweep.
+        swept = keep_sweeps(monkeypatch)
         self.assert_zeros_of_degrees_four_to_seven(d, 2000)
+        if d in BANDS_TO_M2000:
+            assert exponent_bands(swept[d], d, max(BANDS_TO_M2000[d])) == BANDS_TO_M2000[d]
 
     def test_degree_three_odd_zeros_to_m1000(self):
         # the even indices vanish by the divisibility criterion; these odd
@@ -615,15 +650,9 @@ class TestZeroCensus:
         # 4, 8, 16, 32, 64; each runs from its start s to 4s, and the next
         # starts one (doubled) step after that, so the fifth block starts
         # at 1920 + 64 = 1984.  d = 3: the odd zeros keep
-        # the step 54 from 405 to 1971.  Observed, not explained.
-        swept = {}
-        real = coeffs.coefficients_by_sweep
-
-        def keep(d, m_max):
-            swept[d] = real(d, m_max)
-            return swept[d]
-
-        monkeypatch.setattr(coeffs, "coefficients_by_sweep", keep)
+        # the step 54 from 405 to 1971.  Observed, not explained; so are the
+        # exponent bands, which read the same two sweeps.
+        swept = keep_sweeps(monkeypatch)
         zeros = zero_census(2, 2000)
         assert zeros == [(m, False) for m in [*range(4, 17, 4), *range(24, 97, 8),
                                               *range(112, 449, 16), *range(480, 1921, 32),
@@ -639,6 +668,8 @@ class TestZeroCensus:
             3, 9, 21, 27, 45, 63, 81, 99, 117, 135, 153, 171, 189, 225, 243, 279,
             297, 333, 351, 387, 405, *range(459, 1972, 54),
         ]
+        for d in (2, 3):
+            assert exponent_bands(swept[d], d, max(BANDS_TO_M2000[d])) == BANDS_TO_M2000[d]
 
 
 @pytest.mark.parametrize("call, args, name, least", [
@@ -653,8 +684,8 @@ class TestZeroCensus:
     (partition_index_tuples, (2, 0, 3), "iteration order n", 1),
     (partition_index_tuples, (2, 1, -2), "target", 0),
     (choose_n, (2, 2.5), "index m", 1),
-    (vanishes_by_divisibility, (2.5, 3), "degree d", 2),
-    (vanishes_by_divisibility, (2, -1), "index m", 0),
+    (choose_n, (2.5, 3), "degree d", 2),
+    (partition_index_tuples, (1, 2, 3), "degree d", 2),
     (series.iterate_parameter_polynomial, (2.0, 1), "degree d", 2),
     (series.rational_power_tail, ({2: 1, 1: 1}, rational(1, 2), 2.0), "order", 0),
     (exact.factorial_valuation, (2.5, 2), "m", 0),
