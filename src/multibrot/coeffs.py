@@ -99,7 +99,8 @@ def coefficient_by_residue(d: int, m: int, n: int | None = None):
     n = least if n is None else n
     require_int("iteration order n", n, least)
     q = _iterated_polynomial(d, n)
-    return -rational_power_tail(q, rational(m, d**n), m + 1) / m
+    tail = rational_power_tail(q, rational(m, d**n), m + 1)
+    return rational(-tail.numerator, tail.denominator * m)
 
 
 def partition_index_tuples(d, n, target):
@@ -164,8 +165,16 @@ def coefficient_by_partition_sum(d: int, m: int, n: int):
     leaves sum_{i>j} c_i prod_{j<=l<i} a_l / ((i!/j!) D_k^(i-j)), an int.
     A remainder raises ``ArithmeticError`` naming the state.  The last
     level's j = T(r) <= T is forced by r, and its scale C / (j! d^j) is
-    multiplied out once per j, down from 1 at j = T, so no division
-    happens at a leaf.  The route builds one rational at the end.
+    multiplied out once per j, down from 1 at j = T.
+
+    A leaf (shift s, j) is prod(m - i d, s <= i < s+j) times that scale.
+    One table per call holds F[t], the product of the factors m - i d for
+    i < t, leaving out the one zero factor, at i = m/d when d divides m;
+    it grows as leaves reach further.  A leaf whose range holds that i is
+    0, without a product.  Any other leaf is F[s+j] // F[s]: F[s+j] is
+    F[s] times the leaf's own factors, none of them the left-out one, so
+    the division is exact by construction and needs no check.  The route
+    builds one rational at the end.
     """
     require_int("iteration order n", n, choose_n(d, m))
     top = (m + 1) // (d - 1)
@@ -173,6 +182,8 @@ def coefficient_by_partition_sum(d: int, m: int, n: int):
     for j in range(top, 0, -1):
         leaf[j - 1] = leaf[j] * j * d
     common = leaf[0]
+    falling = [1]  # F[t] above: prod(m - i d for i < t) without the zero factor
+    zero = m // d if m % d == 0 else -1  # the i of that factor, if any
 
     @functools.cache
     def subtree(k, remaining, shift):
@@ -180,8 +191,12 @@ def coefficient_by_partition_sum(d: int, m: int, n: int):
             j, r = divmod(remaining, d - 1)
             if r:
                 return 0
-            start = m - shift * d
-            return math.prod(range(start, start - j * d, -d)) * leaf[j]
+            end = shift + j
+            if shift <= zero < end:
+                return 0
+            while len(falling) <= end:
+                falling.append(falling[-1] * (m - (len(falling) - 1) * d or 1))
+            return falling[end] // falling[shift] * leaf[j]
         step = d ** (n - k)
         start = m - shift * step
         weight = step - 1

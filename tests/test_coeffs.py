@@ -151,7 +151,7 @@ class TestResidueRoute:
     def test_any_admissible_order_gives_the_same_value(self):
         # Q_n and Q_{n+1} are different polynomial data, so agreement is also
         # an oracle that needs no second route: past m ~ 1000 the partition
-        # sum takes seconds to minutes a call (d = 2: 11 s at m = 1021).
+        # sum takes seconds to minutes a call (d = 2: 6 s at m = 1021).
         for d, m in ((2, 1), (2, 3), (2, 5), (2, 11), (2, 150), (2, 200), (2, 260),
                      (3, 101), (3, 161)):
             n0 = choose_n(d, m)
@@ -237,9 +237,21 @@ class TestPartitionSumRoute:
             assert value == fraction_partition_sum(d, m, n), (d, m)
             assert coefficient_by_partition_sum(d, m, n + 1) == value, (d, m)
 
+    @pytest.mark.parametrize("d", [7, 8, 9])
+    def test_equals_fraction_reference_at_three_orders(self, d):
+        # leaves read the falling-product table: a leaf range holds the zero
+        # factor first at m = 35, 48 and 63, and every nonempty leaf range
+        # reaches negative factors (the whole range from m = 293 for d = 7)
+        for m in range(1, 301):
+            n = choose_n(d, m)
+            for order in (n, n + 1, n + 2):
+                assert coefficient_by_partition_sum(d, m, order) == \
+                    fraction_partition_sum(d, m, order), (d, m, order)
+
     @pytest.mark.parametrize("d, m, n", [
         (2, 253, 7), (2, 254, 8), (2, 509, 8), (2, 510, 9), (3, 727, 6),
-        # about 11 s and 8 s for the partition sum
+        # about 6 s and 5 s for the partition sum (7 s and 5.5 s when its
+        # leaves formed each product in full)
         pytest.param(2, 1021, 9, marks=pytest.mark.slow),
         pytest.param(2, 1022, 10, marks=pytest.mark.slow),
     ])
@@ -249,6 +261,12 @@ class TestPartitionSumRoute:
         # the first at order 6
         assert choose_n(d, m) == n
         assert coefficient_by_partition_sum(d, m, n) == coefficient_by_residue(d, m)
+
+    @pytest.mark.slow
+    def test_equals_residue_route_at_m2000(self):
+        # about 2 s for the partition sum and 1 s for the residue route; the
+        # partition sum took 9-11 s when its leaves formed each product in full
+        assert coefficient_by_partition_sum(2, 2000, 10) == coefficient_by_residue(2, 2000)
 
     def test_inexact_division_names_the_state(self, monkeypatch):
         # a divmod that leaves remainder 1 except at the leaves' d - 1 = 1
@@ -672,24 +690,43 @@ class TestZeroCensus:
             assert exponent_bands(swept[d], d, max(BANDS_TO_M2000[d])) == BANDS_TO_M2000[d]
 
 
+# Each row keeps the id it was first collected under (its position then),
+# so adding or removing a row renames no other.
 @pytest.mark.parametrize("call, args, name, least", [
-    (coefficients_by_sweep, (2.0, 3), "degree d", 2),
-    (coefficients_by_sweep, (2, 2.5), "m_max", 0),
-    (zero_census, (3, 4.0), "m_max", 0),
-    (coefficient_by_residue, (2.0, 3), "degree d", 2),
-    (coefficient_by_residue, (2, 3.0), "index m", 1),
-    (coefficient_by_residue, (2, 5, 1), "iteration order n", 2),
-    (coefficient_by_partition_sum, (1, 3, 1), "degree d", 2),
-    (laurent_coefficient, (2, 1.0), "index m", 0),
-    (partition_index_tuples, (2, 0, 3), "iteration order n", 1),
-    (partition_index_tuples, (2, 1, -2), "target", 0),
-    (choose_n, (2, 2.5), "index m", 1),
-    (choose_n, (2.5, 3), "degree d", 2),
-    (partition_index_tuples, (1, 2, 3), "degree d", 2),
-    (series.iterate_parameter_polynomial, (2.0, 1), "degree d", 2),
-    (series.rational_power_tail, ({2: 1, 1: 1}, rational(1, 2), 2.0), "order", 0),
-    (exact.factorial_valuation, (2.5, 2), "m", 0),
-    (binomial_general, (rational(1, 2), 1.0), "j", 0),
+    pytest.param(coefficients_by_sweep, (2.0, 3), "degree d", 2,
+                 id="coefficients_by_sweep-args0-degree d-2"),
+    pytest.param(coefficients_by_sweep, (2, 2.5), "m_max", 0,
+                 id="coefficients_by_sweep-args1-m_max-0"),
+    pytest.param(zero_census, (3, 4.0), "m_max", 0,
+                 id="zero_census-args2-m_max-0"),
+    pytest.param(coefficient_by_residue, (2.0, 3), "degree d", 2,
+                 id="coefficient_by_residue-args3-degree d-2"),
+    pytest.param(coefficient_by_residue, (2, 3.0), "index m", 1,
+                 id="coefficient_by_residue-args4-index m-1"),
+    pytest.param(coefficient_by_residue, (2, 5, 1), "iteration order n", 2,
+                 id="coefficient_by_residue-args5-iteration order n-2"),
+    pytest.param(coefficient_by_partition_sum, (1, 3, 1), "degree d", 2,
+                 id="coefficient_by_partition_sum-args6-degree d-2"),
+    pytest.param(laurent_coefficient, (2, 1.0), "index m", 0,
+                 id="laurent_coefficient-args7-index m-0"),
+    pytest.param(partition_index_tuples, (2, 0, 3), "iteration order n", 1,
+                 id="partition_index_tuples-args8-iteration order n-1"),
+    pytest.param(partition_index_tuples, (2, 1, -2), "target", 0,
+                 id="partition_index_tuples-args9-target-0"),
+    pytest.param(choose_n, (2, 2.5), "index m", 1,
+                 id="choose_n-args10-index m-1"),
+    pytest.param(choose_n, (2.5, 3), "degree d", 2,
+                 id="choose_n-args11-degree d-2"),
+    pytest.param(partition_index_tuples, (1, 2, 3), "degree d", 2,
+                 id="partition_index_tuples-args12-degree d-2"),
+    pytest.param(series.iterate_parameter_polynomial, (2.0, 1), "degree d", 2,
+                 id="iterate_parameter_polynomial-args13-degree d-2"),
+    pytest.param(series.rational_power_tail, ({2: 1, 1: 1}, rational(1, 2), 2.0), "order", 0,
+                 id="rational_power_tail-args14-order-0"),
+    pytest.param(exact.factorial_valuation, (2.5, 2), "m", 0,
+                 id="factorial_valuation-args15-m-0"),
+    pytest.param(binomial_general, (rational(1, 2), 1.0), "j", 0,
+                 id="binomial_general-args16-j-0"),
 ])
 def test_bad_arguments_are_one_value_error(call, args, name, least):
     # one message for every integer argument, raised before any kernel runs
