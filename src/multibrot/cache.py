@@ -18,6 +18,14 @@ rejects any line whose denominator has a prime factor not dividing d:
 every genuine coefficient is a d-adic rational, so such a line can only
 be corruption.
 
+Loading decides d-adicity first.  A d-adic denominator has no prime
+outside ``gcd(den, d)``, so the fraction is in lowest terms exactly when
+``gcd(num, gcd(den, d)) == 1``, a test linear in the fields' size; any
+other denominator takes the full ``gcd(num, den)``, so that a line both
+reducible and not d-adic is reported as not in lowest terms.  Every
+record is validated, but a caller may select rows by degree and largest
+index, and only the selected rows are built into rationals.
+
 Numerators and denominators grow past Python's int<->str digit cap
 (4300 digits by default) for large m; ``int_to_text`` and
 ``text_to_int`` convert past it, and nothing here changes the cap.
@@ -27,6 +35,7 @@ from __future__ import annotations
 
 import hashlib
 import re
+from math import gcd
 
 from .exact import MAX_DEGREE, divides_power, rational
 
@@ -102,8 +111,12 @@ def format_table(rows) -> str:
     return checksummed_text(HEADER, lines)
 
 
-def parse_table(text: str) -> list[tuple[int, int, object]]:
-    """Parse table text into (d, m, value) triples, validating the format."""
+def parse_table(text: str, degrees=None, m_max=None) -> list[tuple[int, int, object]]:
+    """Parse table text into (d, m, value) triples, validating the format.
+
+    Every record is validated; with ``degrees`` (a collection of ints)
+    only the rows of those degrees are returned, and with ``m_max`` only
+    the rows with m <= m_max."""
     if text.strip() == "":
         return []
     lines = text.splitlines()
@@ -136,30 +149,34 @@ def parse_table(text: str) -> list[tuple[int, int, object]]:
                                    f"d={int_to_text(d)}, m={int_to_text(m)}")
         if den <= 0:
             raise CacheFormatError(f"line {offset}: denominator must be positive")
-        value = rational(num, den)
-        if value.denominator != den:
+        d_adic = divides_power(den, d)
+        if gcd(num, gcd(den, d) if d_adic else den) != 1:
             raise CacheFormatError(f"line {offset}: {int_to_text(num)}/"
                                    f"{int_to_text(den)} is not in lowest terms")
-        if not divides_power(den, d):
+        if not d_adic:
             raise CacheFormatError(f"line {offset}: denominator {int_to_text(den)} has a "
                                    f"prime factor not dividing d={d}")
         key = (d, m)
         if previous_key is not None and key <= previous_key:
             raise CacheFormatError(f"line {offset}: records not sorted by (d, m)")
         previous_key = key
-        triples.append((d, m, value))
+        if (degrees is None or d in degrees) and (m_max is None or m <= m_max):
+            triples.append((d, m, rational(num, den)))
     if canonical < len(body):
-        # every record before the first non-canonical line has been judged
-        raise CacheFormatError(f"line {len(triples) + 2}: fields not in canonical form")
+        # every record before the first non-canonical line has been judged;
+        # each ends with a newline, selected or not
+        line = body.count("\n", 0, canonical) + 2
+        raise CacheFormatError(f"line {line}: fields not in canonical form")
     return triples
 
 
-def load_coefficients(path) -> list[tuple[int, int, object]]:
-    """Load a table from path; an empty file yields an empty table and
-    bytes that are not UTF-8 a ``CacheFormatError``."""
+def load_coefficients(path, degrees=None, m_max=None) -> list[tuple[int, int, object]]:
+    """Load a table from path, selecting rows as ``parse_table`` does; an
+    empty file yields an empty table and bytes that are not UTF-8 a
+    ``CacheFormatError``."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             text = fh.read()
         except UnicodeDecodeError as exc:
             raise CacheFormatError(f"byte {exc.start}: not UTF-8 text") from None
-    return parse_table(text)
+    return parse_table(text, degrees, m_max)

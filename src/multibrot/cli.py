@@ -238,7 +238,8 @@ def cmd_compute(args) -> int:
 def cmd_verify(args) -> int:
     cached = None
     if args.cache is not None:
-        cached = {(d, m): value for d, m, value in cache.load_coefficients(args.cache)}
+        cached = {(d, m): value for d, m, value
+                  in cache.load_coefficients(args.cache, args.d, args.m_max)}
     verdicts = suite_verdicts(args.d, args.m_max, args.checks, cached)
     _emit(format_report(verdicts), args.report)
     failures = [v for v in verdicts if not v.passed]

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import re
 import sys
 import threading
 from math import gcd
@@ -148,6 +149,24 @@ def test_composite_degree_denominator_accepted():
     # 36 = 2^2 * 3^2 divides a power of 6
     rows = parse_table(_with_payload(["6,4,-7,36"]))
     assert rows == [(6, 4, rational(-7, 36))]
+
+
+@pytest.mark.parametrize("line", ["6,1,9,4", "6,1,-25,1", "6,1,0,1"])
+def test_composite_degree_coprime_numerators_accepted(line):
+    # the numerator shares no prime with gcd(den, 6), here 2 or 1
+    d, m, num, den = map(int, line.split(","))
+    assert parse_table(_with_payload([line])) == [(d, m, rational(num, den))]
+
+
+@pytest.mark.parametrize("line, fraction", [
+    ("6,1,2,4", "2/4"),    # shares 2 with a 2-power denominator
+    ("6,1,3,9", "3/9"),    # shares 3 with a 3-power denominator
+    ("6,1,2,10", "2/10"),  # reducible and not 6-adic: lowest terms is reported
+    ("6,1,0,6", "0/6"),
+])
+def test_composite_degree_reducible_fractions_rejected(line, fraction):
+    with pytest.raises(CacheFormatError, match=f"^line 2: {fraction} is not in lowest terms$"):
+        parse_table(_with_payload([line]))
 
 
 def test_unsorted_payload_rejected():
@@ -401,3 +420,45 @@ def test_acceptance_set_matches_the_per_field_rule():
 def test_field_count_and_non_integer_fields_are_not_canonical(line):
     with pytest.raises(CacheFormatError, match="^line 3: fields not in canonical form$"):
         parse_table(_with_payload(["2,0,-1,2", line]))
+
+
+# A table of degrees 2 and 3; a request for d = 2 selects its first two rows.
+_TWO_DEGREES = ["2,0,-1,2", "2,1,1,8", "3,0,-1,3", "3,1,1,9"]
+
+
+@pytest.mark.parametrize("bad, message", [
+    ("3,2,+1,9", "fields not in canonical form"),
+    ("3,2,3,9", "3/9 is not in lowest terms"),
+    ("3,2,1,4", "denominator 4 has a prime factor not dividing d=3"),
+    ("3,1,1,27", "records not sorted by (d, m)"),
+    (f"{2**61 - 1},0,0,1", f"invalid indices d={2**61 - 1}, m=0"),
+])
+def test_unselected_faulty_last_line_is_named(bad, message):
+    # a d = 2 request validates the d = 3 rows it does not return, and the
+    # line number counts every record, selected or not
+    with pytest.raises(CacheFormatError, match=f"^line 6: {re.escape(message)}$"):
+        parse_table(_with_payload([*_TWO_DEGREES, bad]), [2], 1)
+
+
+@pytest.mark.parametrize("payload, message", [
+    (["2,0,-1,2", "5,1,5,25", "5,2,1,25"], "line 3: 5/25 is not in lowest terms"),
+    (["2,0,-1,2", "2,1,1,8", "1,1,0,1"], "line 4: invalid indices d=1, m=1"),
+])
+def test_faulty_row_outside_the_selection_is_reported(tmp_path, payload, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(_with_payload(payload))
+    with pytest.raises(CacheFormatError, match=f"^{message}$"):
+        load_coefficients(path, [2], 1)
+
+
+@given(rows=dadic_rows,
+       degrees=st.none() | st.sets(st.integers(2, 12)),
+       m_max=st.none() | st.integers(0, 500))
+def test_selection_equals_the_filtered_full_parse(rows, degrees, m_max):
+    seen = {}
+    for d, m, num, e in rows:
+        seen.setdefault((d, m), rational(num, d**e))
+    text = format_table([(d, m, v) for (d, m), v in sorted(seen.items())])
+    assert parse_table(text, degrees, m_max) == [
+        (d, m, v) for d, m, v in parse_table(text)
+        if (degrees is None or d in degrees) and (m_max is None or m <= m_max)]

@@ -237,6 +237,35 @@ class TestVerify:
         [line] = err.splitlines()
         assert line.startswith("multibrot: bad coefficient table: line 2: ")
 
+    @pytest.mark.parametrize("payload, message", [
+        (["2,0,-1,2", "2,1,1,8", "5,1,5,25"], "line 4: 5/25 is not in lowest terms"),
+        (["2,0,-1,2", "2,1,1,8", f"{2**61 - 1},0,0,1"],
+         f"line 4: invalid indices d={2**61 - 1}, m=0"),
+        (["2,0,-1,2", "2,1,1,8", "3,0,-1,3", "3,1,+1,9"],
+         "line 5: fields not in canonical form"),
+    ])
+    def test_faulty_row_at_an_unrequested_degree_is_io_error(self, capsys, tmp_path,
+                                                             payload, message):
+        # every record is validated, though a d = 2 request reads none of these
+        path = tmp_path / "bad.csv"
+        path.write_text(cache.checksummed_text(cache.HEADER, payload))
+        code, out, err = run(capsys, "verify", "--d", "2", "--m-max", "1",
+                             "--checks", "zagier", "--cache", str(path))
+        assert (code, out) == (EXIT_IO, "")
+        assert err == f"multibrot: bad coefficient table: {message}\n"
+
+    def test_cache_builds_only_the_requested_rows(self, capsys, tmp_path, monkeypatch):
+        # the small-requests table: d = 2..6, m <= 40, 205 records
+        path = tmp_path / "table.csv"
+        assert run(capsys, "compute", "--d", "2,3,4,5,6", "--m-max", "40",
+                   "--cache", str(path))[0] == EXIT_OK
+        built = []
+        real = cache.rational
+        monkeypatch.setattr(cache, "rational", lambda *a: built.append(a) or real(*a))
+        code, _, _ = run(capsys, "verify", "--d", "3", "--m-max", "20", "--cache", str(path))
+        assert code == EXIT_VERIFICATION  # yamashita fails at odd prime degrees
+        assert len(built) == 21
+
     def test_non_utf8_cache_is_io_error(self, capsys, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_bytes(b"\xff\xfe\x00garbage\n")
