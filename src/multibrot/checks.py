@@ -27,14 +27,18 @@ predicate over exactly computed coefficients and returns a ``Verdict``:
 All comparisons are exact; a zero coefficient attains -inf, which
 satisfies every bound and never counts as equality against a finite one.
 
-Every ``check_*`` function judges the one coefficient value it is
-passed and computes none.  ``CHECKS`` is the one place that declares at
-which (d, m) each check applies and whether it reads fully computed
-coefficients; ``suite_verdicts`` lists its own (check, d, m) from it and
-sweeps each degree once before any check runs, and every ``check_*``
-function raises ``ValueError`` where it says the check does not apply
-and at every (d, m) that indexes no coefficient.  A report lists the
-verdicts in their own field order, in which (check, d, m, p) is unique.
+``CHECKS`` is the one place that declares at which (d, m) each check
+applies, whether it reads fully computed coefficients, and its judge:
+the one spelling of its bound, which runs no guard.  Each public
+``check_*`` function is its judge behind ``_require``: it raises
+``ValueError`` where ``CHECKS`` says the check does not apply and at
+every (d, m) that indexes no coefficient, then judges the one value it
+is passed and computes none.  ``suite_verdicts`` checks its own
+arguments once, lists each check's (d, m) from ``CHECKS``, sweeps each
+degree once and calls the judges unguarded; the judges at one (d, m)
+share a memo, so each -nu_p(b_m) goes once through
+``exact.padic_valuation``.  A report lists the verdicts in their own
+field order, in which (check, d, m, p) is unique.
 """
 
 from __future__ import annotations
@@ -46,9 +50,9 @@ from .cache import checksummed_text
 from .exact import (
     NEG_INF,
     POS_INF,
+    _legendre,
+    _trial_division,
     divides_power,
-    factorial_valuation,
-    factorize,
     is_prime,
     padic_valuation,
     require_int,
@@ -79,8 +83,16 @@ def denominator_exponent(value, p: int):
 
     NEG_INF for value = 0, matching nu_p(0) = +inf.
     """
-    v = padic_valuation(value, p)
-    return NEG_INF if v is POS_INF else -v
+    return _exponent({}, value, p)
+
+
+def _exponent(exps, value, p):
+    """-nu_p(value), read from or written to ``exps``, the memo of one
+    (d, m): every judge at the pair shares it, so each prime is valued once."""
+    if p not in exps:
+        v = padic_valuation(value, p)
+        exps[p] = NEG_INF if v is POS_INF else -v
+    return exps[p]
 
 
 def _bound_verdict(check, d, m, p, bound, attained, equality_predicted=None):
@@ -97,54 +109,92 @@ def _require(name, d, m):
         raise ValueError(f"check {name!r} does not apply at d={d}, m={m}")
 
 
+# The judges: one per check, each the one spelling of its bound.  They
+# run no guard, so they are called only where ``CHECKS`` says the check
+# applies; ``exps`` is the pair's valuation memo (see ``_exponent``).
+
+def _main(d, m, value, exps):
+    a = (m + 1) // (d - 1)
+    return [_bound_verdict("main", d, m, p, _legendre(a, p) + t * a, _exponent(exps, value, p),
+                           m == d - 2 or m % p != 0)
+            for p, t in _trial_division(d)]
+
+
+def _zagier(d, m, value, exps):
+    return [_bound_verdict("zagier", 2, m, 2, _legendre(2 * m + 2, 2), _exponent(exps, value, 2),
+                           m == 0 or m % 2 == 1)]
+
+
+def _ewing_schober(d, m, value, exps):
+    return [_bound_verdict("ewing-schober", 2, m, 2, 2 * m + 1, _exponent(exps, value, 2))]
+
+
+def _levin(d, m, value, exps):
+    return [_bound_verdict("levin", 2, m, 2, _legendre(2 * m + 2, 2), _exponent(exps, value, 2),
+                           equality_predicted=True)]
+
+
+def _yamashita(p, m, value, exps):
+    attained = _exponent(exps, value, p)
+    if not _divisible(p, m):
+        return [_bound_verdict("yamashita", p, m, p, NEG_INF, attained, equality_predicted=True)]
+    a = (m + 1) // (p - 1)
+    bound = _legendre(p * m + p, p) // (p - 1)
+    verdict = _bound_verdict("yamashita", p, m, p, bound, attained, m == p - 2 or m % p != 0)
+    if bound != a + _legendre(a, p):  # the floor and additive forms disagree
+        verdict = verdict._replace(passed=False)
+    return [verdict]
+
+
+def _vanishing(d, m, value, exps):
+    attained = _exponent(exps, value, _trial_division(d)[0][0])
+    return [_bound_verdict("vanishing", d, m, None, NEG_INF, attained, equality_predicted=True)]
+
+
+def _integrality(d, m, value, exps):
+    a = (m + 1) // (d - 1)
+    factors = _trial_division(d)
+    bound = max(-(-(_legendre(a, p) + t * a) // t) for p, t in factors)
+    # smallest e >= 0 with value * d^e integral; +inf if no power of d
+    # clears it.  nu_p(den) = max(0, -nu_p(value)): in lowest terms p
+    # divides the numerator or the denominator, not both.
+    if divides_power(value.denominator, d):
+        attained = max(-(-max(0, _exponent(exps, value, p)) // t) for p, t in factors)
+    else:
+        attained = POS_INF
+    return [_bound_verdict("integrality", d, m, None, bound, attained)]
+
+
+def _dadic(d, m, value, exps):
+    return [Verdict("dadic", d, m, None, None, None, None, None,
+                    divides_power(value.denominator, d))]
+
+
 def check_main(d: int, m: int, value) -> list[Verdict]:
     """One verdict per prime factor of d; requires (d-1) | (m+1)."""
     _require("main", d, m)
-    a = (m + 1) // (d - 1)
-    verdicts = []
-    for p, t in factorize(d):
-        bound = factorial_valuation(a, p) + t * a
-        attained = denominator_exponent(value, p)
-        equality_predicted = m == d - 2 or m % p != 0
-        verdicts.append(_bound_verdict("main", d, m, p, bound, attained, equality_predicted))
-    return verdicts
+    return _main(d, m, value, {})
 
 
 def check_zagier(m: int, value) -> Verdict:
     _require("zagier", 2, m)
-    bound = factorial_valuation(2 * m + 2, 2)
-    attained = denominator_exponent(value, 2)
-    equality_predicted = m == 0 or m % 2 == 1
-    return _bound_verdict("zagier", 2, m, 2, bound, attained, equality_predicted)
+    return _zagier(2, m, value, {})[0]
 
 
 def check_ewing_schober(m: int, value) -> Verdict:
     _require("ewing-schober", 2, m)
-    attained = denominator_exponent(value, 2)
-    return _bound_verdict("ewing-schober", 2, m, 2, 2 * m + 1, attained)
+    return _ewing_schober(2, m, value, {})[0]
 
 
 def check_levin(m: int, value) -> Verdict:
     _require("levin", 2, m)
-    bound = factorial_valuation(2 * m + 2, 2)
-    attained = denominator_exponent(value, 2)
-    return _bound_verdict("levin", 2, m, 2, bound, attained, equality_predicted=True)
+    return _levin(2, m, value, {})[0]
 
 
 def check_yamashita(p: int, m: int, value) -> Verdict:
     """Prime-degree bound in floor form, checked against the additive form."""
     _require("yamashita", p, m)
-    attained = denominator_exponent(value, p)
-    if not _divisible(p, m):
-        return _bound_verdict("yamashita", p, m, p, NEG_INF, attained, equality_predicted=True)
-    a = (m + 1) // (p - 1)
-    bound = factorial_valuation(p * m + p, p) // (p - 1)
-    forms_agree = bound == a + factorial_valuation(a, p)
-    equality_predicted = m == p - 2 or m % p != 0
-    verdict = _bound_verdict("yamashita", p, m, p, bound, attained, equality_predicted)
-    if not forms_agree:
-        verdict = verdict._replace(passed=False)
-    return verdict
+    return _yamashita(p, m, value, {})[0]
 
 
 def check_vanishing(d: int, m: int, value) -> Verdict:
@@ -156,73 +206,61 @@ def check_vanishing(d: int, m: int, value) -> Verdict:
     the check vacuous.
     """
     _require("vanishing", d, m)
-    p_smallest = factorize(d)[0][0]
-    attained = denominator_exponent(value, p_smallest)
-    return _bound_verdict("vanishing", d, m, None, NEG_INF, attained, equality_predicted=True)
+    return _vanishing(d, m, value, {})[0]
 
 
 def check_integrality(d: int, m: int, value) -> Verdict:
     """value * d^x integral for the ceiling exponent x derived from the main bound."""
     _require("integrality", d, m)
-    a = (m + 1) // (d - 1)
-    factors = factorize(d)
-    bound = max(-(-(factorial_valuation(a, p) + t * a) // t) for p, t in factors)
-    # smallest e >= 0 with value * d^e integral; +inf if no power of d clears it
-    den = value.denominator
-    if divides_power(den, d):
-        attained = max(-(-padic_valuation(den, p) // t) for p, t in factors)
-    else:
-        attained = POS_INF
-    return _bound_verdict("integrality", d, m, None, bound, attained)
+    return _integrality(d, m, value, {})[0]
 
 
 def check_dadic(d: int, m: int, value) -> Verdict:
     """Every prime factor of the denominator divides d."""
     _require("dadic", d, m)
-    passed = divides_power(value.denominator, d)
-    return Verdict("dadic", d, m, None, None, None, None, None, passed)
+    return _dadic(d, m, value, {})[0]
 
 
 class Check(NamedTuple):
-    """Where a check applies, and its verdicts on the value at one (d, m).
+    """Where a check applies, and its judge: the verdicts on the value at
+    one (d, m), given that pair's valuation memo.
 
     ``full`` checks need their coefficients computed, not read from a
     cache, so ``suite_verdicts`` computes those pairs in full.
     """
 
     applies: Callable[[int, int], bool]
-    verdicts: Callable[[int, int, object], list[Verdict]]
+    verdicts: Callable[[int, int, object, dict], list[Verdict]]
     full: bool = False
 
 
 CHECKS = {
-    "main": Check(_divisible, check_main),
-    "zagier": Check(lambda d, m: d == 2, lambda d, m, v: [check_zagier(m, v)]),
-    "ewing-schober": Check(lambda d, m: d == 2, lambda d, m, v: [check_ewing_schober(m, v)]),
-    "levin": Check(lambda d, m: d == 2 and m % 2 == 1, lambda d, m, v: [check_levin(m, v)]),
-    "yamashita": Check(lambda d, m: is_prime(d), lambda d, m, v: [check_yamashita(d, m, v)]),
-    "vanishing": Check(
-        lambda d, m: m >= 1 and not _divisible(d, m),
-        lambda d, m, v: [check_vanishing(d, m, v)],
-        full=True,
-    ),
-    "integrality": Check(_divisible, lambda d, m, v: [check_integrality(d, m, v)]),
-    "dadic": Check(lambda d, m: True, lambda d, m, v: [check_dadic(d, m, v)]),
+    "main": Check(_divisible, _main),
+    "zagier": Check(lambda d, m: d == 2, _zagier),
+    "ewing-schober": Check(lambda d, m: d == 2, _ewing_schober),
+    "levin": Check(lambda d, m: d == 2 and m % 2 == 1, _levin),
+    "yamashita": Check(lambda d, m: is_prime(d), _yamashita),
+    "vanishing": Check(lambda d, m: m >= 1 and not _divisible(d, m), _vanishing, full=True),
+    "integrality": Check(_divisible, _integrality),
+    "dadic": Check(lambda d, m: True, _dadic),
 }
 CHECK_NAMES = tuple(CHECKS)
 
 
 def suite_verdicts(degrees, m_max: int, checks, cached=None) -> list[Verdict]:
     """Every applicable verdict for the requested checks, sorted by
-    (check, d, m, p) so that two runs diff cleanly: the suite lists its
-    own (check, d, m) where ``CHECKS[check].applies``, each once and in
-    ascending order, and ``check_main`` judges d's primes in the
-    ascending order ``factorize`` lists them.
+    (check, d, m, p) so that two runs diff cleanly: the suite walks each
+    degree once, in ascending order, lists each check's m there where
+    ``CHECKS[check].applies``, each once and in ascending order, and
+    ``check_main``'s judge takes d's primes in the ascending order
+    ``factorize`` lists them; so each check's verdicts come sorted, and
+    the checks are joined in name order, with no sort.
 
     ``cached`` maps (d, m) to a value that is judged as given, except at
     the pairs of ``full`` checks: every check at such a pair reads the
-    value computed anew.  Each degree is swept once, up to the largest
-    index that the cache does not cover or that a full pair needs.
+    value computed anew.  Only the judged pairs are looked up.  Each
+    degree is swept once, up to the largest judged index that the cache
+    does not cover or that a full pair needs.
     """
     unknown = [c for c in checks if c not in CHECKS]
     if unknown:
@@ -230,21 +268,23 @@ def suite_verdicts(degrees, m_max: int, checks, cached=None) -> list[Verdict]:
     for d in degrees:
         require_int("degree d", d, 2)
     require_int("m_max", m_max, 0)
-    todo = [(name, d, m) for name in sorted(set(checks)) for d in sorted(set(degrees))
-            for m in range(m_max + 1) if CHECKS[name].applies(d, m)]
-    full = {(d, m) for name, d, m in todo if CHECKS[name].full}
-    kept = {key: value for key, value in (cached or {}).items() if key not in full}
-    tops = {}
-    for _, d, m in todo:
-        if (d, m) not in kept:
-            tops[d] = max(tops.get(d, 0), m)
-    values = {(d, m): value for d, top in sorted(tops.items())
-              for m, value in enumerate(coeffs.coefficients_by_sweep(d, top))}
-    values.update(kept)
-    verdicts: list[Verdict] = []
-    for name, d, m in todo:
-        verdicts.extend(CHECKS[name].verdicts(d, m, values[d, m]))
-    return verdicts
+    rows = [CHECKS[name] for name in sorted(set(checks))]
+    cached = cached or {}
+    parts = [[] for _ in rows]  # each check's verdicts, in (d, m, p) order
+    for d in sorted(set(degrees)):
+        lists = [[m for m in range(m_max + 1) if check.applies(d, m)] for check in rows]
+        judged = set().union(*lists)
+        fresh = {m for check, ms in zip(rows, lists) if check.full for m in ms}
+        kept = {m: cached[d, m] for m in judged - fresh if (d, m) in cached}
+        top = max(judged.difference(kept), default=-1)
+        values = dict(enumerate(coeffs.coefficients_by_sweep(d, top))) if top >= 0 else {}
+        values.update(kept)
+        memo = {m: {} for m in judged}
+        for check, ms, part in zip(rows, lists, parts):
+            judge = check.verdicts
+            for m in ms:
+                part += judge(d, m, values[m], memo[m])
+    return [v for part in parts for v in part]
 
 
 # The report text of the values that ``str`` does not spell.  The tables

@@ -18,7 +18,8 @@ through ``require_int``: one that is not an int, or is below its least
 admissible value, raises one ``ValueError`` naming the argument.
 ``divides_power``, the one d-adic test, runs no guards: its callers
 (the table parser, the checks and the series tail) have checked both
-arguments already.
+arguments already.  Nor does ``_legendre``, the Legendre sum behind
+``factorial_valuation``'s guards, which the checks' judges call.
 
 At p = 2 valuations are read off the binary digits: ``padic_valuation``
 by the position of the lowest set bit, ``factorial_valuation`` by
@@ -136,6 +137,12 @@ def factorial_valuation(m: int, p: int) -> int:
     """
     _require_prime(p)
     require_int("m", m, 0)
+    return _legendre(m, p)
+
+
+def _legendre(m: int, p: int) -> int:
+    """``factorial_valuation`` unguarded, for callers that have checked
+    that m >= 0 is an int and p a prime."""
     if p == 2:
         return m - m.bit_count()
     total = 0

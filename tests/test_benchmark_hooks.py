@@ -60,3 +60,26 @@ def test_names_the_benchmark_reads_exist():
 def test_benchmark_argv_parses(argv):
     args = cli.build_parser().parse_args(list(argv))
     cli.normalize_args(args)
+
+
+def test_traced_cache_request_fills_the_check_layers(tmp_path):
+    # the traced check layers count what a verify --cache request does:
+    # its valuations go through exact.padic_valuation, and the suite's
+    # verdicts are the report's lines
+    code, text = workloads.outcome(cli, workloads.SETUP_TABLE.argv)
+    assert code == cli.EXIT_OK
+    table = tmp_path / "table.csv"
+    table.write_text(text, encoding="utf-8")
+    op = next(op for op in workloads.request_sequence(1, table) if "--cache" in op.argv)
+    tracer = trace.Tracer()
+    tracer.install()
+    try:
+        code, report = workloads.outcome(cli, op.argv)
+    finally:
+        tracer.uninstall()
+    assert workloads.matches(workloads.load_reference()[op.key], code, report)
+    metrics = trace.layer_metrics(tracer)
+    assert metrics["exact.padic_calls"] > 0
+    lines = report.splitlines()
+    assert lines[0] == checks.REPORT_HEADER and lines[-1].startswith("#sha256:")
+    assert metrics["checks.verdicts"] == len(lines) - 2

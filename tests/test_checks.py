@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from multibrot.checks import (
     CHECK_NAMES,
@@ -323,6 +324,105 @@ class TestSuite:
         assert keys == sorted(set(keys))
         assert len(verdicts) == 1350
         assert verdicts == suite_verdicts([2, 3, 4, 5, 6, 9, 12], 60, list(CHECK_NAMES), values)
+
+
+class TestSuiteReadsLittle:
+    """``suite_verdicts`` looks up only the pairs it judges and values
+    each (d, m, p) once, however many checks read it."""
+
+    def test_only_judged_pairs_are_looked_up(self, values):
+        looked_up = []
+
+        class LookupsOnly(dict):
+            def __contains__(self, key):
+                looked_up.append(key)
+                return super().__contains__(key)
+
+            def __iter__(self):
+                raise AssertionError("the suite walked the whole cache")
+
+            def items(self):
+                raise AssertionError("the suite walked the whole cache")
+
+        cached = LookupsOnly(values)
+        names = ["zagier", "dadic"]
+        assert suite_verdicts([2], 10, names, cached) == suite_verdicts([2], 10, names)
+        assert sorted(looked_up) == [(2, m) for m in range(11)]
+
+    def test_one_valuation_per_pair_and_prime(self, values, monkeypatch):
+        primes = []
+        real = checks.padic_valuation
+
+        def counting(x, p):
+            primes.append(p)
+            return real(x, p)
+
+        monkeypatch.setattr(checks, "padic_valuation", counting)
+        names = [name for name in CHECK_NAMES if name != "vanishing"]
+        verdicts = suite_verdicts([2, 6], 40, names, values)
+        # d = 2 has five checks reading nu_2 at each m, d = 6 two reading
+        # nu_2 and nu_3 at each divisible m
+        assert len(verdicts) > len(primes)
+        assert primes.count(2) <= 41 + 41 and primes.count(3) <= 41
+        assert set(primes) == {2, 3}
+
+
+LADDER = (2, 3, 4, 5, 6, 7, 8, 9, 12, 30)
+
+
+@pytest.fixture(scope="module")
+def ladder():
+    return {(d, m): value for d in LADDER
+            for m, value in enumerate(coefficients_by_sweep(d, 60))}
+
+
+# Each check's public function, called as the suite's judges are: at one
+# (d, m) on one value, returning a list of verdicts.
+PUBLIC = {
+    "main": check_main,
+    "zagier": lambda d, m, v: [check_zagier(m, v)],
+    "ewing-schober": lambda d, m, v: [check_ewing_schober(m, v)],
+    "levin": lambda d, m, v: [check_levin(m, v)],
+    "yamashita": lambda d, m, v: [check_yamashita(d, m, v)],
+    "vanishing": lambda d, m, v: [check_vanishing(d, m, v)],
+    "integrality": lambda d, m, v: [check_integrality(d, m, v)],
+    "dadic": lambda d, m, v: [check_dadic(d, m, v)],
+}
+
+
+@st.composite
+def suite_requests(draw):
+    """Degrees, m_max, check names, and None (no cache) or the requested
+    pair whose cached value is wrong but d-adic."""
+    degrees = draw(st.lists(st.sampled_from(LADDER), min_size=1, max_size=3))
+    m_max = draw(st.integers(0, 60))
+    names = draw(st.lists(st.sampled_from(CHECK_NAMES), min_size=1, unique=True))
+    wrong = draw(st.none() | st.tuples(st.sampled_from(degrees), st.integers(0, m_max)))
+    return degrees, m_max, names, wrong
+
+
+@settings(max_examples=60, deadline=None)
+@given(asked=suite_requests())
+def test_suite_agrees_with_the_public_checks(ladder, asked):
+    # the suite reads a cached value except where a full check applies,
+    # and each public function judges the value the suite reads
+    degrees, m_max, names, wrong = asked
+    cached = None
+    if wrong is not None:
+        cached = dict(ladder)
+        cached[wrong] += rational(1, wrong[0])
+    expected = []
+    for name in names:
+        for d in set(degrees):
+            for m in range(m_max + 1):
+                if not checks.CHECKS[name].applies(d, m):
+                    continue
+                fresh = cached is None or any(
+                    checks.CHECKS[other].full and checks.CHECKS[other].applies(d, m)
+                    for other in names)
+                value = ladder[d, m] if fresh else cached[d, m]
+                expected += PUBLIC[name](d, m, value)
+    assert suite_verdicts(degrees, m_max, names, cached) == sorted(expected)
 
 
 class TestOneFillPath:
