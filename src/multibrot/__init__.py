@@ -58,46 +58,3 @@ from .checks import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "NEG_INF",
-    "POS_INF",
-    "ExtendedInt",
-    "binomial_general",
-    "factorial_valuation",
-    "factorize",
-    "is_prime",
-    "padic_valuation",
-    "rational",
-    "iterate_parameter_polynomial",
-    "rational_power_tail",
-    "METHOD_COMBINATORIAL",
-    "METHOD_RESIDUE",
-    "METHOD_SPECIAL",
-    "METHOD_SWEEP",
-    "CoeffRecord",
-    "choose_n",
-    "coefficient_by_partition_sum",
-    "coefficient_by_residue",
-    "coefficients_by_sweep",
-    "laurent_coefficient",
-    "partition_index_tuples",
-    "zero_census",
-    "CacheChecksumError",
-    "CacheFormatError",
-    "load_coefficients",
-    "CHECK_NAMES",
-    "Verdict",
-    "check_dadic",
-    "check_ewing_schober",
-    "check_integrality",
-    "check_levin",
-    "check_main",
-    "check_vanishing",
-    "check_yamashita",
-    "check_zagier",
-    "denominator_exponent",
-    "format_report",
-    "suite_verdicts",
-    "__version__",
-]

@@ -33,6 +33,7 @@ Numerators and denominators grow past Python's int<->str digit cap
 
 from __future__ import annotations
 
+import codecs
 import hashlib
 import re
 from math import gcd
@@ -172,11 +173,25 @@ def parse_table(text: str, degrees=None, m_max=None) -> list[tuple[int, int, obj
 
 def load_coefficients(path, degrees=None, m_max=None) -> list[tuple[int, int, object]]:
     """Load a table from path, selecting rows as ``parse_table`` does; an
-    empty file yields an empty table and bytes that are not UTF-8 a
-    ``CacheFormatError``."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            text = fh.read()
-        except UnicodeDecodeError as exc:
-            raise CacheFormatError(f"byte {exc.start}: not UTF-8 text") from None
+    empty or blank file yields an empty table and bytes that are not
+    UTF-8 a ``CacheFormatError`` naming the offset of the first.
+
+    The file is read past its first ``len(HEADER) + 1`` bytes only when
+    they begin with the header or are blank: any other start is passed to
+    ``parse_table`` alone, which rejects it at line 1, so that a device
+    such as ``/dev/zero`` ends in that error instead of an endless read."""
+    with open(path, "rb") as fh:
+        data = fh.read(len(HEADER) + 1)
+        text = _utf8(data, final=len(data) <= len(HEADER))
+        if text.startswith(HEADER) or text.isspace():
+            text = _utf8(data + fh.read())
     return parse_table(text, degrees, m_max)
+
+
+def _utf8(data: bytes, final: bool = True) -> str:
+    """``data`` decoded as UTF-8, leaving out a character cut off at its
+    end unless ``final``; an invalid byte raises ``CacheFormatError``."""
+    try:
+        return codecs.getincrementaldecoder("utf-8")().decode(data, final)
+    except UnicodeDecodeError as exc:
+        raise CacheFormatError(f"byte {exc.start}: not UTF-8 text") from None

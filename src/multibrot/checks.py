@@ -17,7 +17,9 @@ predicate over exactly computed coefficients and returns a ``Verdict``:
   a + nu_p(a!); that coincidence is real for p = 2 but FAILS for odd p
   at infinitely many m (first: p=3, m=9), where the equality clause is
   then refuted by the exact coefficient too, so failing verdicts from
-  this check are expected and are a finding, not a bug.
+  this check are expected and are a finding, not a bug.  The floor form
+  exceeds the additive one by exactly floor(c/(p-1)), where
+  c = nu_p(((p-1)a)!/(a!)^(p-1)) (Legendre's formula; README Findings).
 * ``vanishing``: d >= 3 and (d-1) not dividing (m+1): the computed
   coefficient is exactly zero.
 * ``integrality``: b * d^x is an integer for

@@ -17,10 +17,16 @@ accepted and validated for compatibility but changes nothing.
 
 ``main`` builds its parser once per process, on its first call; every
 later in-process call (a test suite, a library loop over ``main``) shares
-that parser, which parsing never changes.
+that parser, which parsing never changes.  A request whose first word
+names a command is parsed once, by that command's subparser; any other
+argv (none, an unknown command, ``--help``) goes to the top-level
+parser, which prints help or a usage error as argparse does.  An unknown
+trailing argument is therefore reported by the command's parser
+(``multibrot compute: error: unrecognized arguments: ...``).
 
 Exit codes: 0 success, 1 verification failure, method disagreement or
-inexact division, 2 usage error, 3 I/O error, bad table or out of memory.
+inexact division, 2 usage error, 3 I/O error, bad table or out of memory,
+130 interrupted (Ctrl-C, one stderr line).
 """
 
 from __future__ import annotations
@@ -53,6 +59,7 @@ EXIT_OK = 0
 EXIT_VERIFICATION = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
+EXIT_INTERRUPTED = 130  # the shell's code for a process ended by SIGINT
 
 CACHE_DIR_ENV = "MULTIBROT_CACHE_DIR"
 
@@ -106,9 +113,15 @@ def _resolve_cache_path(raw: str) -> Path:
     return path
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The ``multibrot`` parser: built on the first call, then shared."""
+    return _parsers()[0]
+
+
+@functools.cache
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The ``multibrot`` parser and its subparsers by command name, built
+    once per process."""
     parser = argparse.ArgumentParser(
         prog="multibrot",
         description="Exact Laurent coefficients of the Multibrot exterior map "
@@ -157,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_bench, methods=(METHOD_RESIDUE, METHOD_COMBINATORIAL, METHOD_SWEEP, "both"),
            method_default="both")
 
-    return parser
+    return parser, sub.choices
 
 
 def normalize_args(args: argparse.Namespace) -> None:
@@ -298,8 +311,12 @@ def cmd_bench(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    parser, commands = _parsers()
+    if argv and argv[0] in commands:
+        args = commands[argv[0]].parse_args(argv[1:], argparse.Namespace(command=argv[0]))
+    else:
+        args = parser.parse_args(argv)
     try:
         normalize_args(args)
     except UsageError as exc:
@@ -319,6 +336,9 @@ def main(argv=None) -> int:
     except ArithmeticError as exc:
         print(f"multibrot: inexact division: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION
+    except KeyboardInterrupt:
+        print("multibrot: interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 if __name__ == "__main__":

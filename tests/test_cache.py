@@ -69,6 +69,70 @@ def test_empty_file_is_empty_table(tmp_path):
     assert load_coefficients(path) == []
 
 
+@pytest.mark.parametrize("body", [b" \n" * 100, "\u3000".encode() * 100], ids=["ascii", "ideographic"])
+def test_blank_file_is_empty_table(tmp_path, body):
+    # blank past the first bytes too: read to the end, as any blank file
+    path = tmp_path / "blank.csv"
+    path.write_bytes(body)
+    assert load_coefficients(path) == []
+
+
+def test_blank_start_then_text_is_no_table(tmp_path):
+    path = tmp_path / "late.csv"
+    path.write_bytes(b" " * 100 + format_table([]).encode())
+    with pytest.raises(CacheFormatError, match=f"^line 1: expected header {re.escape(repr(HEADER))}$"):
+        load_coefficients(path)
+
+
+def test_crlf_table_loads_as_its_lf_text(tmp_path):
+    text = format_table([(2, 0, rational(-1, 2)), (2, 1, rational(1, 8))])
+    path = tmp_path / "crlf.csv"
+    path.write_bytes(text.replace("\n", "\r\n").encode())
+    assert load_coefficients(path) == parse_table(text)
+
+
+class EndlessFile:
+    """A file of endless bytes, as ``/dev/zero`` is; reading it to its end
+    fails the test instead of exhausting memory."""
+
+    def __init__(self, byte):
+        self.byte = byte
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def read(self, size=-1):
+        assert size >= 0, "read to the end of an endless file"
+        return self.byte * size
+
+
+@pytest.mark.parametrize("byte", [b"\0", b"x"])
+def test_non_table_is_read_no_further_than_its_first_bytes(monkeypatch, byte):
+    monkeypatch.setattr(cache, "open", lambda path, mode: EndlessFile(byte), raising=False)
+    with pytest.raises(CacheFormatError,
+                       match=f"^line 1: expected header {re.escape(repr(HEADER))}$"):
+        load_coefficients("endless")
+
+
+def test_character_cut_at_the_first_bytes_is_not_a_decoding_error(tmp_path):
+    # the first bytes may end inside a character that the rest completes
+    path = tmp_path / "cut.csv"
+    path.write_bytes(b"x" * len(HEADER) + "\u00e9\n".encode() * 10)
+    with pytest.raises(CacheFormatError, match="^line 1: expected header"):
+        load_coefficients(path)
+
+
+def test_invalid_byte_is_named_by_its_offset_in_the_file(tmp_path):
+    text = format_table([(2, 0, rational(-1, 2)), (2, 1, rational(1, 8))]).encode()
+    path = tmp_path / "bad.csv"
+    path.write_bytes(text[:40] + b"\xff" + text[40:])
+    with pytest.raises(CacheFormatError, match="^byte 40: not UTF-8 text$"):
+        load_coefficients(path)
+
+
 def test_header_and_checksum_only_is_empty_table():
     assert parse_table(format_table([])) == []
 

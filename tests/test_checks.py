@@ -164,6 +164,25 @@ class TestYamashita:
             assert ya.bound == floor_form and main.bound == additive_form
             assert ya.passed == (floor_form == additive_form)
 
+    def test_form_gap_is_the_floor_of_the_multinomial_valuation(self):
+        # F - A = floor(c/(p-1)) with c = nu_p(((p-1)a)!/(a!)^(p-1)), from
+        # Legendre's nu_p((px)!) = x + nu_p(x!); for p = 2 the multinomial
+        # is 1, so the forms never differ there; each odd p first differs
+        # at a = 2p - 1
+        cases, gaps = 0, {}
+        for p in (2, 3, 5, 7, 11, 13):
+            for m in range(p - 2, 5001, p - 1):
+                a = (m + 1) // (p - 1)
+                floor_form = factorial_valuation(p * (m + 1), p) // (p - 1)
+                additive_form = a + factorial_valuation(a, p)
+                c = factorial_valuation((p - 1) * a, p) - (p - 1) * factorial_valuation(a, p)
+                assert floor_form - additive_form == c // (p - 1), (p, m)
+                cases += 1
+                if floor_form != additive_form:
+                    gaps.setdefault(p, m)
+        assert cases == 10500
+        assert gaps == {p: (2 * p - 1) * (p - 1) - 1 for p in (3, 5, 7, 11, 13)}
+
     def test_known_counterexample_to_floor_form_equality(self, values):
         # m = 29, p = 3: attained 21 = additive form, floor form 22, and
         # 3 does not divide 29, so the floor-form clause predicts an

@@ -709,6 +709,18 @@ class TestParserReuse:
         assert made == []
 
 
+@pytest.mark.parametrize("command", ["compute", "verify", "census"])
+def test_interrupt_exits_130(capsys, monkeypatch, command):
+    def interrupted(d, m_max):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(coeffs, "coefficients_by_sweep", interrupted)
+    code, out, err = run(capsys, command, "--d", "2", "--m-max", "50")
+    assert code == cli.EXIT_INTERRUPTED == 130
+    assert out == ""
+    assert err == "multibrot: interrupted\n"
+
+
 # Runs every command in one interpreter started without site-packages and
 # prints the top-level modules it loaded that the standard library lacks.
 _STDLIB_ONLY_SCRIPT = """
@@ -758,3 +770,97 @@ def test_readme_cli_line_parses(line):
     # a renamed option or --method value fails here before the docs go stale
     args = cli.build_parser().parse_args(shlex.split(line)[1:])
     cli.normalize_args(args)
+
+
+class TestDispatch:
+    """A request whose first word names a command is parsed once, by that
+    command's subparser; any other argv reaches the top-level parser."""
+
+    VALID = [
+        ["compute", "--m-max", "0"],
+        ["compute", "--d", "3", "--d", "4,5", "--m-max", "6", "--method", "both",
+         "--output", "json-lines", "--cache", "t.csv", "--threads", "2"],
+        ["verify", "--m-max", "5"],
+        ["verify", "--d", "2,3", "--m-max", "9", "--checks", "main", "--checks", "zagier,dadic",
+         "--report", "r.csv", "--cache", "/abs/t.csv"],
+        ["census", "--d", "6", "--m-max", "10", "--output", "json-lines"],
+        ["bench", "--m-max=4", "--method", "sweep"],
+        ["bench", "--d=7", "--m-max", "4", "--threads=3"],
+    ]
+
+    @staticmethod
+    def namespace_of_main(monkeypatch, argv):
+        """The namespace ``main`` passes on after ``normalize_args``; the
+        command does not run."""
+        seen = []
+        normalize = cli.normalize_args
+
+        def recording(args):
+            normalize(args)
+            seen.append(args)
+            raise cli.UsageError("stop")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "normalize_args", recording)
+            assert main(argv) == EXIT_USAGE
+        return seen[0]
+
+    @pytest.mark.parametrize("argv", [shlex.split(line)[1:] for line in _readme_cli_lines()]
+                             + VALID, ids=" ".join)
+    def test_namespace_equals_the_full_parse(self, capsys, monkeypatch, argv):
+        expected = cli.build_parser().parse_args(argv)
+        cli.normalize_args(expected)
+        assert self.namespace_of_main(monkeypatch, argv) == expected
+        capsys.readouterr()
+
+    @pytest.fixture
+    def top_level_parses(self, monkeypatch):
+        """The calls of the top-level parser's ``parse_known_args``."""
+        parser = cli.build_parser()
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return type(parser).parse_known_args(parser, *args, **kwargs)
+
+        monkeypatch.setattr(parser, "parse_known_args", counting)
+        return calls
+
+    def test_valid_requests_skip_the_top_level_parser(self, capsys, top_level_parses):
+        for argv in (["compute", "--d", "2", "--m-max", "3"],
+                     ["verify", "--d", "3", "--m-max", "3", "--checks", "main"],
+                     ["census", "--d", "2", "--m-max", "3"],
+                     ["bench", "--d", "2", "--m-max", "3", "--method", "sweep"]):
+            code, out, _ = run(capsys, *argv)
+            assert code == EXIT_OK and out, argv
+        assert top_level_parses == []
+
+    @pytest.mark.parametrize("argv", [[], ["bogus"], ["--help"]], ids=repr)
+    def test_other_argv_reach_the_top_level_parser(self, capsys, top_level_parses, argv):
+        with pytest.raises(SystemExit):
+            main(argv)
+        capsys.readouterr()
+        assert len(top_level_parses) >= 1
+
+    @pytest.mark.parametrize("argv, code, usage", [
+        (["-h"], EXIT_OK, "usage: multibrot [-h]"),
+        (["--help"], EXIT_OK, "usage: multibrot [-h]"),
+        (["compute", "-h"], EXIT_OK, "usage: multibrot compute [-h]"),
+        ([], EXIT_USAGE, "multibrot: error: the following arguments are required: command"),
+        (["frobnicate"], EXIT_USAGE, "multibrot: error: argument command: invalid choice"),
+        (["compute", "--d", "2"], EXIT_USAGE,
+         "multibrot compute: error: the following arguments are required: --m-max"),
+        (["census", "--m-max", "3", "extra"], EXIT_USAGE,
+         "multibrot census: error: unrecognized arguments: extra"),
+    ], ids=repr)
+    def test_help_and_usage_errors(self, capsys, argv, code, usage):
+        # help goes to stdout; a usage error leaves stdout empty and ends
+        # stderr with the parser's one error line
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        out, err = capsys.readouterr()
+        assert excinfo.value.code == code
+        if code == EXIT_OK:
+            assert out.startswith(usage) and err == ""
+        else:
+            assert out == "" and err.splitlines()[-1].startswith(usage)
