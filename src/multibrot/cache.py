@@ -26,6 +26,14 @@ reducible and not d-adic is reported as not in lowest terms.  Every
 record is validated, but a caller may select rows by degree and largest
 index, and only the selected rows are built into rationals.
 
+Loading reads the records in three steps.  One regular expression,
+``_RECORDS``, the only statement of the record grammar, matches the run
+of canonical records from the start of the payload.  Every field of that
+run is then decoded by one C-level call: a canonical field is also a
+JSON number, so the run with its newlines turned into commas is one
+JSON array for ``json.loads``.  Where that call refuses a field past the
+digit cap, the fields are converted one by one with ``text_to_int``.
+
 Numerators and denominators grow past Python's int<->str digit cap
 (4300 digits by default) for large m; ``int_to_text`` and
 ``text_to_int`` convert past it, and nothing here changes the cap.
@@ -35,6 +43,7 @@ from __future__ import annotations
 
 import codecs
 import hashlib
+import json
 import re
 from math import gcd
 
@@ -137,11 +146,11 @@ def parse_table(text: str, degrees=None, m_max=None) -> list[tuple[int, int, obj
 
     canonical = _RECORDS.match(body).end()
     # the canonical records' fields in file order, taken four at a time
-    words = body[:canonical].replace(",", " ").split()
+    records = body[:canonical]
     try:
-        fields = iter(list(map(int, words)))
+        fields = iter(json.loads("[" + records.replace("\n", ",")[:-1] + "]"))
     except ValueError:  # a field past the digit cap
-        fields = map(text_to_int, words)
+        fields = map(text_to_int, records.replace(",", " ").split())
     triples = []
     previous_key = None
     for offset, (d, m, num, den) in enumerate(zip(fields, fields, fields, fields), start=2):

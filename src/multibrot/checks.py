@@ -80,6 +80,12 @@ class Verdict(NamedTuple):
     passed: bool
 
 
+# ``tuple.__new__(Verdict, fields)`` is what ``Verdict._make`` does, without
+# the Python-level frame of the namedtuple's own ``__new__``: the judges
+# build every verdict through it.
+_verdict = tuple.__new__
+
+
 def denominator_exponent(value, p: int):
     """-nu_p(value): how strongly p divides the denominator.
 
@@ -100,8 +106,8 @@ def _exponent(exps, value, p):
 def _bound_verdict(check, d, m, p, bound, attained, equality_predicted=None):
     equality_observed = None if equality_predicted is None else attained == bound
     passed = attained <= bound and equality_predicted == equality_observed
-    return Verdict(check, d, m, p, bound, attained, equality_predicted, equality_observed,
-                   passed)
+    return _verdict(Verdict, (check, d, m, p, bound, attained, equality_predicted,
+                              equality_observed, passed))
 
 
 def _require(name, d, m):
@@ -168,8 +174,8 @@ def _integrality(d, m, value, exps):
 
 
 def _dadic(d, m, value, exps):
-    return [Verdict("dadic", d, m, None, None, None, None, None,
-                    divides_power(value.denominator, d))]
+    return [_verdict(Verdict, ("dadic", d, m, None, None, None, None, None,
+                               divides_power(value.denominator, d)))]
 
 
 def check_main(d: int, m: int, value) -> list[Verdict]:
@@ -298,9 +304,9 @@ _FLAG_TEXT = {None: "-", True: "true", False: "false"}
 def verdict_line(v: Verdict) -> str:
     check, d, m, p, bound, attained, predicted, observed, passed = v
     number = _NUMBER_TEXT.get
-    return ",".join((check, str(d), str(m), number(p) or str(p),
-                     number(bound) or str(bound), number(attained) or str(attained),
-                     _FLAG_TEXT[predicted], _FLAG_TEXT[observed], _FLAG_TEXT[passed]))
+    return (f"{check},{d},{m},{number(p, p)},{number(bound, bound)},"
+            f"{number(attained, attained)},{_FLAG_TEXT[predicted]},"
+            f"{_FLAG_TEXT[observed]},{_FLAG_TEXT[passed]}")
 
 
 def format_report(verdicts) -> str:

@@ -36,6 +36,7 @@ import functools
 import hashlib
 import json
 import os
+import re
 import sys
 import time
 from collections import Counter
@@ -73,12 +74,30 @@ def _split_list(raw: list[str]) -> list[str]:
     return [item for chunk in raw for item in map(str.strip, chunk.split(",")) if item]
 
 
+# The spelling of every integer on the command line: ASCII digits after an
+# optional minus sign, as in the table format (leading zeros aside).
+_DECIMAL = re.compile("-?[0-9]+")
+
+
+def _integer(text: str) -> int:
+    """``int(text)`` for a spelling that ``_DECIMAL`` matches in full; any
+    other text (a plus sign, an underscore, a space, a non-ASCII digit) or
+    a value past the digit cap raises the ``ArgumentTypeError`` with which
+    argparse reports a value ``int`` refuses."""
+    if _DECIMAL.fullmatch(text):
+        try:
+            return int(text)
+        except ValueError:  # past the digit cap
+            pass
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+
+
 def _parse_degrees(raw: list[str]) -> list[int]:
     degrees = []
     for item in _split_list(raw):
         try:
-            d = int(item)
-        except ValueError:
+            d = _integer(item)
+        except argparse.ArgumentTypeError:
             raise UsageError(f"invalid degree {item!r}") from None
         if d < 2:
             raise UsageError(f"degree must be >= 2, got {d}")
@@ -132,9 +151,9 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
     def common(p, methods=None, method_default=None):
         p.add_argument("--d", action="append", default=None, metavar="D[,D...]",
                        help="degree(s); repeatable or comma-separated (default: 2)")
-        p.add_argument("--m-max", type=int, required=True, metavar="M",
+        p.add_argument("--m-max", type=_integer, required=True, metavar="M",
                        help="largest coefficient index")
-        p.add_argument("--threads", type=int, default=1,
+        p.add_argument("--threads", type=_integer, default=1,
                        help="kept for compatibility: must be >= 1, changes "
                             "nothing (every command runs in one process)")
         if methods is not None:

@@ -83,3 +83,4 @@ def test_traced_cache_request_fills_the_check_layers(tmp_path):
     lines = report.splitlines()
     assert lines[0] == checks.REPORT_HEADER and lines[-1].startswith("#sha256:")
     assert metrics["checks.verdicts"] == len(lines) - 2
+    assert metrics["cache.parse_s"] > 0 and metrics["checks.report_s"] > 0

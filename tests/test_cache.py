@@ -6,7 +6,7 @@ import threading
 from math import gcd
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from multibrot import cache
 from multibrot.cache import (
@@ -526,3 +526,45 @@ def test_selection_equals_the_filtered_full_parse(rows, degrees, m_max):
     assert parse_table(text, degrees, m_max) == [
         (d, m, v) for d, m, v in parse_table(text)
         if (degrees is None or d in degrees) and (m_max is None or m <= m_max)]
+
+
+def _decoded_by_int(text, degrees, m_max):
+    """The records of a valid table decoded field by field with ``int``,
+    then selected by degree and largest index as ``parse_table`` selects."""
+    rows = []
+    for line in text.splitlines()[1:-1]:
+        d, m, num, den = map(int, line.split(","))
+        if (degrees is None or d in degrees) and (m_max is None or m <= m_max):
+            rows.append((d, m, rational(num, den)))
+    return rows
+
+
+# A row of degree 13 and index 600, which only the full selection returns,
+# with a numerator of 4401 digits: past both caps the test runs under.
+_PAST_CAP_ROW = (13, 600, rational(10**4400 + 1, 13**3))
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture], deadline=None)
+@given(rows=dadic_rows,
+       past_cap=st.booleans(),
+       degrees=st.none() | st.sets(st.integers(2, 12)),
+       m_max=st.none() | st.integers(0, 500),
+       cap=st.sampled_from([640, 4300]))
+@example(rows=[], past_cap=False, degrees=None, m_max=None, cap=640)
+@example(rows=[], past_cap=True, degrees={2}, m_max=None, cap=4300)
+@example(rows=[(2, 0, -1, 1), (3, 4, 7, 2)], past_cap=True, degrees=None, m_max=10, cap=640)
+def test_decode_equals_the_per_field_int_decode(set_digit_cap, rows, past_cap, degrees, m_max,
+                                                cap):
+    # the one C-level decode, and the per-field fallback it takes past the
+    # cap, read the same values as int() on each field read under no cap
+    seen = {}
+    for d, m, num, e in rows:
+        seen.setdefault((d, m), rational(num, d**e))
+    table = [(d, m, v) for (d, m), v in sorted(seen.items())]
+    if past_cap:
+        table.append(_PAST_CAP_ROW)
+    set_digit_cap(0)
+    text = format_table(table)
+    expected = _decoded_by_int(text, degrees, m_max)
+    set_digit_cap(cap)
+    assert parse_table(text, degrees, m_max) == expected

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from multibrot.checks import (
     CHECK_NAMES,
     REPORT_HEADER,
+    Verdict,
     check_dadic,
     check_ewing_schober,
     check_integrality,
@@ -407,6 +408,21 @@ PUBLIC = {
     "integrality": lambda d, m, v: [check_integrality(d, m, v)],
     "dadic": lambda d, m, v: [check_dadic(d, m, v)],
 }
+
+
+def test_every_verdict_is_a_verdict(values):
+    # tuple equality cannot tell a plain tuple from a Verdict, but callers
+    # read the fields by name (``v.passed``)
+    verdicts = suite_verdicts([*range(2, 10), 12, 30], 40, CHECK_NAMES)
+    assert {v.check for v in verdicts} == set(CHECK_NAMES)
+    assert not all(v.passed for v in verdicts)  # the refuted yamashita verdicts too
+    assert all(type(v) is Verdict for v in verdicts)
+    public = [v for name, call in PUBLIC.items() for d in [*range(2, 10), 12]
+              for m in range(41) if checks.CHECKS[name].applies(d, m)
+              for v in call(d, m, values[d, m])]
+    public += [check_integrality(2, 1, rational(1, 3)), check_dadic(2, 1, rational(1, 3))]
+    assert {v.check for v in public} == set(CHECK_NAMES)
+    assert all(type(v) is Verdict for v in public)
 
 
 @st.composite

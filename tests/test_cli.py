@@ -284,6 +284,19 @@ class TestVerify:
             "9686911a6167be45387c466c771400384f0aa343fdb628b22e94c7ac4aded104"
         )
 
+    @pytest.mark.parametrize("degrees, m_max, code, digest", [
+        # its 140 failures are the refuted Yamashita floor form at p = 3, 5, 7
+        ("2,3,4,5,6,7", "300", EXIT_VERIFICATION,
+         "1e6b3c50abed7d4a971bf9c852892a1942eb71904075677f5e3e584aecd59e49"),
+        ("8,9,12,16,30", "200", EXIT_OK,
+         "e073872eae22424b65ff6ff29725d54c09e0ba153a0008d77cd6cf5b18f5cb3c"),
+    ])
+    def test_report_digests_are_pinned(self, capsys, degrees, m_max, code, digest):
+        # byte-exact reports over every check, prime and composite degrees
+        result, out, _ = run(capsys, "verify", "--d", degrees, "--m-max", m_max)
+        assert result == code
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_checks_compute_no_coefficient_lazily(self, capsys, monkeypatch):
         # Every coefficient a check reads must come from the sweeps that
         # suite_verdicts runs up front.
@@ -615,6 +628,36 @@ class TestUsageErrors:
         code, _, err = run(capsys, *argv)
         assert code == EXIT_USAGE
         assert err
+
+    @pytest.mark.parametrize("option, value", [
+        ("--m-max", "1_0"), ("--m-max", "+3"), ("--m-max", " 7"), ("--m-max", "7 "),
+        ("--m-max", "\u0663"), ("--m-max", "\uff17"), ("--m-max", "7.0"), ("--m-max", "0x7"),
+        ("--d", "1_2"), ("--d", "+3"), ("--d", "\u0663"), ("--d", "2,\uff13"),
+        ("--threads", "\uff12"), ("--threads", "+1"), ("--threads", "1_0"),
+    ], ids=ascii)
+    def test_integers_are_ascii_decimal(self, capsys, option, value):
+        # every integer option takes -?[0-9]+ only, the table format's
+        # digits; a --d item is still stripped, a whole option value is not
+        argv = {"--m-max": "3", "--d": "2", "--threads": "1", option: value}
+        try:
+            code = main(["census", *(word for pair in argv.items() for word in pair)])
+        except SystemExit as exc:  # argparse's usage error
+            code = exc.code
+        out, err = capsys.readouterr()
+        assert code == EXIT_USAGE and out == ""
+        assert err.splitlines()[-1] in (
+            f"multibrot census: error: argument {option}: invalid int value: {value!r}",
+            f"multibrot: invalid degree {value.split(',')[-1]!r}")
+
+    def test_ascii_decimal_spellings_are_accepted(self, capsys):
+        # leading zeros and a stripped --d item keep their meaning
+        plain = run(capsys, "census", "--d", "3", "--m-max", "7", "--threads", "1")
+        assert plain[0] == EXIT_OK
+        assert run(capsys, "census", "--d", " 03 ", "--m-max", "007", "--threads", "01") == plain
+
+    def test_negative_m_max_keeps_its_message(self, capsys):
+        assert run(capsys, "census", "--m-max", "-1") == (
+            EXIT_USAGE, "", "multibrot: --m-max must be >= 0\n")
 
     def test_blank_list_items_are_skipped(self, capsys):
         split = run(capsys, "compute", "--d", "2,,3", "--m-max", "5")

@@ -31,10 +31,14 @@ NOT_A_TABLE = ("multibrot: bad coefficient table: line 1: expected header "
 # (valid, invalid) values of each option; an invalid one is drawn at a
 # rate of INVALID, so that most argv get past the parse
 INVALID = 0.08
-DEGREES = (["2", "3", "2,3", "4,6", "7", "5,3,5", "2,,3", " 5 ", "10000000000000", "٣"],
-           [",", "", "1", "0", "-2", "x", "2.5", "10000000000001"])
-M_MAX = ([str(m) for m in range(21)] + [" 7"], ["-1", "x", "", "1e3", "100001"])
-THREADS = (["1", "2"], ["0", "-1", "x"])
+# integers are ASCII decimal: a plus sign, an underscore, a space around a
+# whole option value and any non-ASCII digit are invalid
+DEGREES = (["2", "3", "2,3", "4,6", "7", "5,3,5", "2,,3", " 5 ", "03", "10000000000000"],
+           [",", "", "1", "0", "-2", "x", "2.5", "10000000000001", "\u0663", "1_2", "+3",
+            "2,\uff13"])
+M_MAX = ([str(m) for m in range(21)] + ["007"],
+         ["-1", "x", "", "1e3", "100001", " 7", "1_0", "+3", "\u0663", "\uff17"])
+THREADS = (["1", "2"], ["0", "-1", "x", "\uff12", "+1", "1_0"])
 METHODS = {"compute": (["sweep", "both"], ["combinatorial", "x"]),
            "bench": (["residue", "combinatorial", "sweep", "both"], ["x"])}
 OUTPUTS = (["csv", "json-lines"], ["xml"])
