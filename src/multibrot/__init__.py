@@ -13,10 +13,8 @@ coefficients.
 from .exact import (
     NEG_INF,
     POS_INF,
-    ExtendedInt,
     binomial_general,
     factorial_valuation,
-    factorize,
     is_prime,
     padic_valuation,
     rational,
@@ -52,7 +50,6 @@ from .checks import (
     check_vanishing,
     check_yamashita,
     check_zagier,
-    denominator_exponent,
     format_report,
     suite_verdicts,
 )

@@ -32,13 +32,13 @@ satisfies every bound and never counts as equality against a finite one.
 ``CHECKS`` is the one place that declares at which (d, m) each check
 applies, whether it reads fully computed coefficients, and its judge:
 the one spelling of its bound, which runs no guard.  Each public
-``check_*`` function is its judge behind ``_require``: it raises
-``ValueError`` where ``CHECKS`` says the check does not apply and at
-every (d, m) that indexes no coefficient, then judges the one value it
-is passed and computes none.  ``suite_verdicts`` checks its own
-arguments once, lists each check's (d, m) from ``CHECKS``, sweeps each
-degree once and calls the judges unguarded; the judges at one (d, m)
-share a memo, so each -nu_p(b_m) goes once through
+``check_*`` function reaches its judge only through ``CHECKS``, by
+``_judged``: it raises ``ValueError`` where ``CHECKS`` says the check
+does not apply and at every (d, m) that indexes no coefficient, then
+judges the one value it is passed and computes none.  ``suite_verdicts``
+checks its own arguments once, lists each check's (d, m) from
+``CHECKS``, sweeps each degree once and calls the judges unguarded; the
+judges at one (d, m) share a memo, so each -nu_p(b_m) goes once through
 ``exact.padic_valuation``.  A report lists the verdicts in their own
 field order, in which (check, d, m, p) is unique.
 """
@@ -86,14 +86,6 @@ class Verdict(NamedTuple):
 _verdict = tuple.__new__
 
 
-def denominator_exponent(value, p: int):
-    """-nu_p(value): how strongly p divides the denominator.
-
-    NEG_INF for value = 0, matching nu_p(0) = +inf.
-    """
-    return _exponent({}, value, p)
-
-
 def _exponent(exps, value, p):
     """-nu_p(value), read from or written to ``exps``, the memo of one
     (d, m): every judge at the pair shares it, so each prime is valued once."""
@@ -110,11 +102,14 @@ def _bound_verdict(check, d, m, p, bound, attained, equality_predicted=None):
                               equality_observed, passed))
 
 
-def _require(name, d, m):
+def _judged(name, d, m, value):
+    """Check ``name``'s verdicts on ``value``, by its judge in ``CHECKS``."""
     require_int("degree d", d, 2)
     require_int("index m", m, 0)
-    if not CHECKS[name].applies(d, m):
+    check = CHECKS[name]
+    if not check.applies(d, m):
         raise ValueError(f"check {name!r} does not apply at d={d}, m={m}")
+    return check.verdicts(d, m, value, {})
 
 
 # The judges: one per check, each the one spelling of its bound.  They
@@ -180,29 +175,24 @@ def _dadic(d, m, value, exps):
 
 def check_main(d: int, m: int, value) -> list[Verdict]:
     """One verdict per prime factor of d; requires (d-1) | (m+1)."""
-    _require("main", d, m)
-    return _main(d, m, value, {})
+    return _judged("main", d, m, value)
 
 
 def check_zagier(m: int, value) -> Verdict:
-    _require("zagier", 2, m)
-    return _zagier(2, m, value, {})[0]
+    return _judged("zagier", 2, m, value)[0]
 
 
 def check_ewing_schober(m: int, value) -> Verdict:
-    _require("ewing-schober", 2, m)
-    return _ewing_schober(2, m, value, {})[0]
+    return _judged("ewing-schober", 2, m, value)[0]
 
 
 def check_levin(m: int, value) -> Verdict:
-    _require("levin", 2, m)
-    return _levin(2, m, value, {})[0]
+    return _judged("levin", 2, m, value)[0]
 
 
 def check_yamashita(p: int, m: int, value) -> Verdict:
     """Prime-degree bound in floor form, checked against the additive form."""
-    _require("yamashita", p, m)
-    return _yamashita(p, m, value, {})[0]
+    return _judged("yamashita", p, m, value)[0]
 
 
 def check_vanishing(d: int, m: int, value) -> Verdict:
@@ -213,25 +203,23 @@ def check_vanishing(d: int, m: int, value) -> Verdict:
     it was passed) or either per-index route; a cached value would make
     the check vacuous.
     """
-    _require("vanishing", d, m)
-    return _vanishing(d, m, value, {})[0]
+    return _judged("vanishing", d, m, value)[0]
 
 
 def check_integrality(d: int, m: int, value) -> Verdict:
     """value * d^x integral for the ceiling exponent x derived from the main bound."""
-    _require("integrality", d, m)
-    return _integrality(d, m, value, {})[0]
+    return _judged("integrality", d, m, value)[0]
 
 
 def check_dadic(d: int, m: int, value) -> Verdict:
     """Every prime factor of the denominator divides d."""
-    _require("dadic", d, m)
-    return _dadic(d, m, value, {})[0]
+    return _judged("dadic", d, m, value)[0]
 
 
 class Check(NamedTuple):
     """Where a check applies, and its judge: the verdicts on the value at
-    one (d, m), given that pair's valuation memo.
+    one (d, m), given that pair's valuation memo.  The public ``check_*``
+    functions and ``suite_verdicts`` both reach the judge through here.
 
     ``full`` checks need their coefficients computed, not read from a
     cache, so ``suite_verdicts`` computes those pairs in full.
@@ -261,7 +249,7 @@ def suite_verdicts(degrees, m_max: int, checks, cached=None) -> list[Verdict]:
     degree once, in ascending order, lists each check's m there where
     ``CHECKS[check].applies``, each once and in ascending order, and
     ``check_main``'s judge takes d's primes in the ascending order
-    ``factorize`` lists them; so each check's verdicts come sorted, and
+    ``_trial_division`` lists them; so each check's verdicts come sorted, and
     the checks are joined in name order, with no sort.
 
     ``cached`` maps (d, m) to a value that is judged as given, except at

@@ -338,11 +338,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     try:
         normalize_args(args)
+        return args.run(args)
     except UsageError as exc:
         print(f"multibrot: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    try:
-        return args.run(args)
     except cache.CacheFormatError as exc:
         print(f"multibrot: bad coefficient table: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -39,7 +39,6 @@ import functools
 import math
 from decimal import Decimal
 from fractions import Fraction
-from typing import Union
 
 rational = Fraction
 # No other backend exists; the flag stays because perfbench/run.py reads
@@ -60,8 +59,6 @@ MAX_DEGREE = 10**13
 POS_INF = Decimal("Infinity")
 NEG_INF = -POS_INF
 
-ExtendedInt = Union[int, Decimal]
-
 
 def require_int(name: str, value, least: int) -> None:
     """Raise ``ValueError`` unless value is an int no smaller than least."""
@@ -71,8 +68,8 @@ def require_int(name: str, value, least: int) -> None:
 
 @functools.lru_cache(maxsize=1024)
 def is_prime(p: int) -> bool:
-    """Deterministic primality by the trial division that ``factorize``
-    runs, memoized: the checks ask it of the same degree at every index.
+    """Deterministic primality by ``_trial_division``, memoized: the
+    checks ask it of the same degree at every index.
 
     A non-int raises ``ValueError``; an int below 2 is not prime."""
     if not isinstance(p, int):
@@ -85,7 +82,7 @@ def _require_prime(p):
         raise ValueError(f"p must be a prime number, got {p!r}")
 
 
-def padic_valuation(x, p: int) -> ExtendedInt:
+def padic_valuation(x, p: int) -> int | Decimal:
     """p-adic valuation of a rational x: the exponent of p in x.
 
     Returns ``POS_INF`` for x = 0.  For x = p^v * r/q with p dividing
@@ -153,18 +150,9 @@ def _legendre(m: int, p: int) -> int:
     return total
 
 
-def factorize(d: int) -> list[tuple[int, int]]:
-    """Prime factorization of d >= 2 as a sorted list of (prime, exponent).
-
-    Trial division, done once per d: the checks ask for the factors of
-    the same degree at every index.
-    """
-    require_int("degree d", d, 2)
-    return list(_trial_division(d))
-
-
 @functools.lru_cache(maxsize=1024)
 def _trial_division(d: int) -> tuple[tuple[int, int], ...]:
+    """The sorted (prime, exponent) pairs of the int d >= 2, once per d."""
     factors = []
     rest = d
     f = 2

@@ -15,7 +15,6 @@ from multibrot.checks import (
     check_vanishing,
     check_yamashita,
     check_zagier,
-    denominator_exponent,
     format_report,
     suite_verdicts,
     verdict_line,
@@ -32,11 +31,11 @@ def values():
 
 
 def test_denominator_exponent():
-    assert denominator_exponent(rational(1, 8), 2) == 3
-    assert denominator_exponent(rational(5, 4), 3) == 0
-    assert denominator_exponent(rational(3, 4), 3) == -1  # p divides the numerator
-    assert denominator_exponent(rational(9, 4), 3) == -2
-    assert denominator_exponent(rational(0), 2) is NEG_INF
+    assert checks._exponent({}, rational(1, 8), 2) == 3
+    assert checks._exponent({}, rational(5, 4), 3) == 0
+    assert checks._exponent({}, rational(3, 4), 3) == -1  # p divides the numerator
+    assert checks._exponent({}, rational(9, 4), 3) == -2
+    assert checks._exponent({}, rational(0), 2) is NEG_INF
 
 
 class TestMain:
@@ -423,6 +422,24 @@ def test_every_verdict_is_a_verdict(values):
     public += [check_integrality(2, 1, rational(1, 3)), check_dadic(2, 1, rational(1, 3))]
     assert {v.check for v in public} == set(CHECK_NAMES)
     assert all(type(v) is Verdict for v in public)
+
+
+@pytest.mark.parametrize("name", CHECK_NAMES)
+def test_public_checks_judge_by_their_checks_row(values, name, monkeypatch):
+    # a public check reaches its judge only through CHECKS, so replacing
+    # the row replaces what the public function returns
+    sentinel = object()
+    calls = []
+
+    def judge(d, m, value, exps):
+        calls.append((d, m, value, exps))
+        return [sentinel]
+
+    row = checks.CHECKS[name]
+    monkeypatch.setitem(checks.CHECKS, name, row._replace(verdicts=judge))
+    d, m = next((d, m) for d in range(2, 13) for m in range(61) if row.applies(d, m))
+    assert PUBLIC[name](d, m, values[d, m]) == [sentinel]
+    assert calls == [(d, m, values[d, m], {})]
 
 
 @st.composite

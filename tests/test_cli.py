@@ -560,6 +560,15 @@ def test_inexact_division_exits_1(capsys, monkeypatch, command):
     assert err == "multibrot: inexact division: d=2, column 1: inexact division by 2^1\n"
 
 
+def test_inexact_miller_sum_exits_1(capsys, monkeypatch):
+    # at d >= 3 the sweep divides each column's Miller sum by j; a product
+    # that is off by one leaves a remainder there, first at column 6
+    monkeypatch.setattr(coeffs, "mul", lambda a, b: a * b + 1)
+    assert run(capsys, "compute", "--d", "4", "--m-max", "40") == (
+        EXIT_VERIFICATION, "",
+        "multibrot: inexact division: d=4, column 6, level 0: inexact division by 6\n")
+
+
 @pytest.mark.parametrize("command", ["compute", "verify", "census"])
 def test_huge_degree(capsys, command):
     # every b_m with m <= 3 vanishes at d = 10^11; no power of size ~d is formed
@@ -634,6 +643,9 @@ class TestUsageErrors:
         ("--m-max", "\u0663"), ("--m-max", "\uff17"), ("--m-max", "7.0"), ("--m-max", "0x7"),
         ("--d", "1_2"), ("--d", "+3"), ("--d", "\u0663"), ("--d", "2,\uff13"),
         ("--threads", "\uff12"), ("--threads", "+1"), ("--threads", "1_0"),
+        # past int()'s digit cap: a usage error, not a traceback
+        *(pytest.param(option, "1" * 5000, id=f"{option}-5000 digits")
+          for option in ("--m-max", "--threads", "--d")),
     ], ids=ascii)
     def test_integers_are_ascii_decimal(self, capsys, option, value):
         # every integer option takes -?[0-9]+ only, the table format's
@@ -762,6 +774,15 @@ def test_interrupt_exits_130(capsys, monkeypatch, command):
     assert code == cli.EXIT_INTERRUPTED == 130
     assert out == ""
     assert err == "multibrot: interrupted\n"
+
+
+def test_interrupt_during_argument_normalization_exits_130(capsys, monkeypatch):
+    def interrupted(raw):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "_parse_degrees", interrupted)
+    assert run(capsys, "census", "--d", "2", "--m-max", "5") == (
+        cli.EXIT_INTERRUPTED, "", "multibrot: interrupted\n")
 
 
 # Runs every command in one interpreter started without site-packages and

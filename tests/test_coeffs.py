@@ -6,7 +6,13 @@ import re
 import pytest
 
 from multibrot import coeffs, exact, series
-from multibrot.checks import check_main, suite_verdicts
+from multibrot.checks import (
+    check_dadic,
+    check_integrality,
+    check_main,
+    check_yamashita,
+    suite_verdicts,
+)
 from multibrot.coeffs import (
     METHOD_COMBINATORIAL,
     METHOD_RESIDUE,
@@ -19,7 +25,7 @@ from multibrot.coeffs import (
     partition_index_tuples,
     zero_census,
 )
-from multibrot.exact import binomial_general, factorize, padic_valuation, rational
+from multibrot.exact import binomial_general, padic_valuation, rational
 
 # Exact values cross-checked between the residue and partition-sum routes
 # (and, for odd m, against the known denominator exponent nu_2((2m+2)!)).
@@ -501,7 +507,7 @@ class TestDadicRationality:
         for m in range(0, 30):
             value = laurent_coefficient(d, m).value
             den = int(value.denominator)
-            for p, _ in factorize(d):
+            for p, _ in exact._trial_division(d):
                 while den % p == 0:
                     den //= p
             assert den == 1, f"b({d},{m}) = {value} is not {d}-adic"
@@ -688,6 +694,44 @@ class TestZeroCensus:
         ]
         for d in (2, 3):
             assert exponent_bands(swept[d], d, max(BANDS_TO_M2000[d])) == BANDS_TO_M2000[d]
+
+
+# Coefficients far past every exact table, each by the residue route at its
+# least order n and, where listed, at n + 1 too, with -nu_p(b_m) or None for
+# a zero.  Every m has (p-1) | (m+1), so the divisibility criterion explains
+# none of the zeros, and nu_p(m) >= 2.  About 20-24 s in all, 15 s of it
+# b_4032; the next order costs far more (b_16415 at n = 5, 74 s).
+SAMPLED_PAST_THE_TABLES = [
+    (7, 16415, (4,), 56),
+    (7, 15827, (4,), None),
+    (5, 2975, (4, 5), 30),
+    (5, 11775, (5,), None),  # the last zero with nu_5(m) = 2 to m <= 15622
+    (3, 2079, (6, 7), 39),
+    (3, 4077, (7,), None),  # the last zero with nu_3(m) = 3 to m <= 6558
+    (2, 4032, (11,), None),  # predicted by the block rule, a conjecture
+]
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("d, m, orders, exponent", SAMPLED_PAST_THE_TABLES)
+def test_sampled_coefficients_past_the_tables(d, m, orders, exponent):
+    # observed, not explained: the exponents are data, as the bands are
+    assert choose_n(d, m) == orders[0]
+    value, *others = [coefficient_by_residue(d, m, n) for n in orders]
+    assert others == [value] * len(others)
+    assert coeffs._divisible(d, m)
+    if exponent is None:
+        assert value == 0
+    else:
+        nu = padic_valuation(m, d)
+        assert nu >= 2
+        # the leading term a(m') of the bands at m' = m / p^nu_p(m)
+        assert -padic_valuation(value, d) == exponent == (m // d**nu + 1) // (d - 1)
+    assert all(v.passed for v in check_main(d, m, value))
+    assert check_integrality(d, m, value).passed
+    assert check_dadic(d, m, value).passed
+    # the floor and additive forms differ at every odd-prime sample
+    assert check_yamashita(d, m, value).passed == (d == 2)
 
 
 # Each row keeps the id it was first collected under (its position then),

@@ -13,7 +13,6 @@ from multibrot.exact import (
     binomial_general,
     divides_power,
     factorial_valuation,
-    factorize,
     is_prime,
     padic_valuation,
     rational,
@@ -155,23 +154,17 @@ class TestFactorize:
         [(2, [(2, 1)]), (12, [(2, 2), (3, 1)]), (97, [(97, 1)]), (360, [(2, 3), (3, 2), (5, 1)])],
     )
     def test_known(self, d, expected):
-        assert factorize(d) == expected
-
-    @pytest.mark.parametrize("d", [1, 0, -4])
-    def test_rejects_small(self, d):
-        with pytest.raises(ValueError):
-            factorize(d)
+        assert list(exact._trial_division(d)) == expected
 
     def test_trial_division_runs_once_per_degree(self):
         exact._trial_division.cache_clear()
-        first = factorize(360)
-        first.append((7, 1))  # each caller gets a list of its own
-        assert factorize(360) == [(2, 3), (3, 2), (5, 1)]
+        exact._trial_division(360)
+        assert exact._trial_division(360) == ((2, 3), (3, 2), (5, 1))
         assert exact._trial_division.cache_info().misses == 1
 
     @given(d=st.integers(2, 10**6))
     def test_reconstructs_and_is_sorted(self, d):
-        factors = factorize(d)
+        factors = exact._trial_division(d)
         product = 1
         for p, t in factors:
             assert is_prime(p) and t >= 1
@@ -200,7 +193,7 @@ class TestIsDAdic:
         for d in range(2, 13):
             for den in range(1, 2000):
                 rest = den
-                for p, _ in factorize(d):
+                for p, _ in exact._trial_division(d):
                     v = 0
                     while rest % p == 0:
                         rest //= p
@@ -321,7 +314,6 @@ class TestIsDAdicByOneModularPower:
     def no_factoring(self, monkeypatch):
         def refuse(d):
             raise AssertionError(f"factored {d}")
-        monkeypatch.setattr(exact, "factorize", refuse)
         monkeypatch.setattr(exact, "_trial_division", refuse)
 
     @pytest.mark.parametrize("d", [2**40 * 3, 10**12 + 39])
