@@ -252,19 +252,22 @@ def coefficients_by_sweep(d: int, m_max: int) -> list:
     otherwise; the main bound makes every stored value an integer, and a
     product of columns i and j - i lands on scale S^j.  The only
     divisions are by d^k* and, for d >= 3, by j; a remainder raises
-    ``ArithmeticError``.  Columns are computed in full, never read off
-    the vanishing theorem; terms are skipped only where level k is zero by
-    the recurrence above or, for d >= 3, where a factor is a computed
-    zero.  There g is the gcd of the indices >= 1 of every nonzero
-    beta_{k,j} or H_{k,j} written so far, at any level (g = 0 before the
-    first), so every entry at an index >= 1 off the multiples of g is an
-    exact zero.  A term of column j pairs indices i and j - i, both >= 1:
-    when g does not divide j one of them is off the multiples of g, and
-    the column's sum is 0; otherwise only the i that g divides can pair
-    two nonzero entries.  The skip reads only computed values, never the
-    vanishing theorem (by which g settles at d - 1).  A zero column is
-    returned without forming S^j, which for a large degree costs far
-    more than the column itself.
+    ``ArithmeticError``.  No value is read off the vanishing theorem (by
+    which g below settles at d - 1): work is skipped only where the
+    recurrence or values already computed make it zero.  Level k's
+    convolution pairs indices i, j - i >= lo = d^(k+1) - 1, so it is
+    summed only from column 2 lo on.  For d >= 3, g is the gcd of the
+    indices >= 1 of every nonzero beta_{k,j} or H_{k,j} written so far
+    (g = 0 before the first), so every entry at an index >= 1 off the
+    multiples of g is an exact zero, and a term of column j pairs two
+    nonzero entries only at an i that g divides.  A column j that g does
+    not divide, or j < d - 1 while g = 0, is stored as 0 at every level
+    with no sum: no lift is read before column d - 1, whose first lift
+    makes b_{d-2} = -1/d nonzero, so from there g divides d - 1 and hence
+    every lo, and a lift into column j reads beta_{0,j-lo}, off the
+    multiples of g too.  No level starts at a skipped column, since each
+    starts at its lo.  A zero column is returned without forming S^j,
+    which for a large degree costs far more than the column itself.
     """
     require_int("degree d", d, 2)
     require_int("m_max", m_max, 0)
@@ -275,16 +278,13 @@ def _sweep(d):
     scale = 4 if d == 2 else d
     beta, lifts, dk = [[1]], [], [1, d]  # level 0 holds column 0; dk[k] = d^k for k <= len(beta)
     power = None if d == 2 else [[1]]  # the square reads no row of H
+    g = 0  # gcd of the indices >= 1 of the nonzero entries written so far; stays 0 for d = 2
     if d == 2:
-        def rest(k, row, j, lo):  # [x^j](1 + B_k)^2 - 2 beta_{k,j}, row = beta[k]
+        def rest(k, row, j, lo):  # [x^j](1 + B_k)^2 - 2 beta_{k,j}, row = beta[k], j >= 2 lo
             r = 2 * sum(map(mul, row[lo:(j + 1) // 2], row[j - lo:j // 2:-1]))
-            return r + row[j // 2] ** 2 if j % 2 == 0 and j >= 2 * lo else r
+            return r + row[j // 2] ** 2 if j % 2 == 0 else r
     else:
-        g = 0  # gcd of the indices >= 1 of the nonzero entries written so far
-
-        def rest(k, row_b, j, lo):  # H_{k,j} - d beta_{k,j}, row_b = beta[k]
-            if not g or j % g:
-                return 0  # each term has a factor at an index off the multiples of g
+        def rest(k, row_b, j, lo):  # H_{k,j} - d beta_{k,j}, row_b = beta[k], j >= 2 lo, g | j
             row_h = power[k]
             a = -(-lo // g) * g  # the first multiple of g from lo
             weights = range((d + 1) * a - j, d * j, (d + 1) * g)  # (d + 1) i - j for i < j
@@ -294,6 +294,11 @@ def _sweep(d):
                 raise ArithmeticError(f"d={d}, column {j}, level {k}: inexact division by {j}")
             return r
     for j in count(1):
+        if j % g if g else j < d - 1:  # every entry of column j is an exact zero
+            for row in (*beta, *power):
+                row.append(0)
+            yield ZERO
+            continue
         if j == dk[-1] * d - 1:  # the next level k is first read at its lo = d^(k+1) - 1
             for rows in (beta,) if power is None else (beta, power):
                 rows.append([1] + [0] * (j - 1))  # beta_{k,i} = H_{k,i} = 0 for 0 < i < lo
@@ -303,7 +308,7 @@ def _sweep(d):
             lo = dk[k + 1] - 1
             if j == lo:  # lifts[k] = S^lo, not formed sooner: S^(d-1) can be huge
                 lifts.append(scale**lo)
-            h = d * p + rest(k, row, j, lo)
+            h = d * p + rest(k, row, j, lo) if j >= 2 * lo else d * p  # no i, j - i >= lo below
             row.append(p)
             if power is not None:
                 power[k].append(h)

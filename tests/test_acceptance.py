@@ -348,3 +348,36 @@ def test_main_bound_on_degree_ladder(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "51c5d044276e56d545e75d02129adaaa7fd70ed776b860a399d2d7f24389c618"
     )
+
+
+def test_main_bound_at_larger_primes(capsys):
+    """The main bound at the primes 11 and 13 and at 32 = 2^5, about 0.5 s.
+
+    Of the 16 435 verdicts only ``yamashita`` fails, and exactly where
+    floor(c/(p-1)) > 0, c = nu_p(((p-1)a)! / (a!)^(p-1)), the gap between its
+    floor form and the additive form (see criterion 07).  Every ``main``
+    verdict holds; equality is observed at the counted m.  The report's
+    bytes are pinned.
+    """
+    code = cli.main(["verify", "--d", "11,13,32", "--m-max", "2000", "--threads", "1"])
+    out = capsys.readouterr().out
+    assert code == cli.EXIT_VERIFICATION
+    rows = [line.split(",") for line in out.splitlines()[1:-1]]
+    assert len(rows) == 16435
+    failed = {(row[0], int(row[1]), int(row[2])) for row in rows if row[-1] == "false"}
+    gaps = set()
+    for p in (11, 13):
+        for m in range(p - 2, 2001, p - 1):
+            a = (m + 1) // (p - 1)
+            c = factorial_valuation((p - 1) * a, p) - (p - 1) * factorial_valuation(a, p)
+            if c // (p - 1) > 0:
+                gaps.add(("yamashita", p, m))
+    assert failed == gaps
+    assert Counter(d for _, d, _ in failed) == {11: 75, 13: 70}
+    main = Counter((int(row[1]), int(row[3]), row[7]) for row in rows if row[0] == "main")
+    assert main == {(11, 11, "true"): 182, (11, 11, "false"): 18,
+                    (13, 13, "true"): 154, (13, 13, "false"): 12,
+                    (32, 2, "true"): 33, (32, 2, "false"): 31}
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "3da36bef6d7ca8a05b4093286fa5bd9130cd5d4c611432f39d1050390647b0ad"
+    )

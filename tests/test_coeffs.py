@@ -2,6 +2,7 @@ import gc
 import itertools
 import math
 import re
+import sys
 
 import pytest
 
@@ -402,6 +403,44 @@ class TestSweep:
 
         monkeypatch.setattr(coeffs, "rational", nonzero_only)
         assert coefficients_by_sweep(d, m_max) == expected
+
+    @pytest.mark.parametrize("d, m_max", [(3, 40), (7, 120), (10**13, 300)])
+    def test_only_stride_columns_solve(self, monkeypatch, d, m_max):
+        # a column off the stride g = d - 1, and every column before d - 1,
+        # is an exact zero and takes no level: no division by d^k* solves it
+        expected = coefficients_by_sweep(d, m_max)
+        solved = []
+
+        def record(a, b):
+            caller = sys._getframe(1)
+            if caller.f_code.co_name == "_sweep":  # the solve, not the Miller sum's division
+                solved.append(caller.f_locals["j"])
+            return divmod(a, b)
+
+        monkeypatch.setattr(coeffs, "divmod", record, raising=False)
+        assert coefficients_by_sweep(d, m_max) == expected
+        assert solved == list(range(d - 1, m_max + 2, d - 1))  # b_m is column m + 1
+        assert len(solved) == m_max // (d - 1)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_no_empty_convolution(self, monkeypatch, d):
+        # level k's convolution pairs indices i, j - i >= lo = d^(k+1) - 1,
+        # so it has a term only from column 2 lo on; below that, no sum
+        expected = coefficients_by_sweep(d, 64)
+        pairs = set()
+
+        def record(terms):
+            caller = sys._getframe(1)
+            if caller.f_code.co_name == "rest":
+                pairs.add((caller.f_locals["j"], caller.f_locals["lo"]))
+            return sum(terms)
+
+        monkeypatch.setattr(coeffs, "sum", record, raising=False)
+        assert coefficients_by_sweep(d, 64) == expected
+        los = [d ** (k + 1) - 1 for k in range(6)]
+        stride = 1 if d == 2 else d - 1  # d >= 3 sums no column off the stride
+        assert pairs == {(j, lo) for j in range(1, 66) for lo in los
+                         if j >= 2 * lo and j % stride == 0}
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
