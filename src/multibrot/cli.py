@@ -162,7 +162,7 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
     p_compute = sub.add_parser("compute", help="compute a coefficient table")
     p_compute.set_defaults(run=cmd_compute)
     common(p_compute, methods=(METHOD_SWEEP, "both"), method_default=METHOD_SWEEP)
-    p_compute.add_argument("--cache", default=None, metavar="PATH",
+    p_compute.add_argument("--cache", type=_resolve_cache_path, default=None, metavar="PATH",
                            help="write the table here instead of stdout "
                                 f"(relative paths resolve under ${CACHE_DIR_ENV})")
     p_compute.add_argument("--output", choices=("csv", "json-lines"), default="csv")
@@ -175,7 +175,7 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
                           help=f"checks to run (default: all of {', '.join(CHECK_NAMES)})")
     p_verify.add_argument("--report", default=None, metavar="PATH",
                           help="report file (default: stdout)")
-    p_verify.add_argument("--cache", default=None, metavar="PATH",
+    p_verify.add_argument("--cache", type=_resolve_cache_path, default=None, metavar="PATH",
                           help="preload coefficients from this table")
 
     p_census = sub.add_parser("census", help="list zero coefficients")
@@ -194,8 +194,8 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
 
 def normalize_args(args: argparse.Namespace) -> None:
     """Validate the parsed arguments and normalize them in place: ``d``
-    becomes the sorted degree list, ``checks`` the list of check names and
-    ``cache`` the resolved path.  Raises ``UsageError``."""
+    becomes the sorted degree list and ``checks`` the list of check names
+    (``--cache`` is resolved by its ``type``).  Raises ``UsageError``."""
     args.d = _parse_degrees(args.d) if args.d else [2]
     if args.m_max < 0:
         raise UsageError("--m-max must be >= 0")
@@ -203,8 +203,6 @@ def normalize_args(args: argparse.Namespace) -> None:
         raise UsageError(f"--m-max must be <= {MAX_M}, got {args.m_max}")
     if args.threads < 1:
         raise UsageError("--threads must be >= 1")
-    if getattr(args, "cache", None) is not None:
-        args.cache = _resolve_cache_path(args.cache)
     if args.command == "verify":
         args.checks = _parse_checks(args.checks)
 
@@ -307,8 +305,7 @@ def cmd_census(args) -> int:
             lines += [json.dumps({"d": d, "m": m, "explained": e}, sort_keys=True)
                       for m, e in zeros]
             summaries.append(json.dumps(counts))
-    text = "\n".join(lines + summaries) + "\n"
-    sys.stdout.write(text)
+    _emit("\n".join(lines + summaries) + "\n", None)
     return EXIT_OK
 
 

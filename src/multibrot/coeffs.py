@@ -129,11 +129,6 @@ def partition_index_tuples(d, n, target):
     return descend(0, target, ())
 
 
-def _inexact(k, remaining, shift, j):
-    return ArithmeticError(f"state (level {k}, remaining {remaining}, shift {shift}): "
-                           f"inexact division at j = {j}")
-
-
 def coefficient_by_partition_sum(d: int, m: int, n: int):
     """Exact b_m as -1/m times a sum over weighted index tuples.
 
@@ -208,7 +203,8 @@ def coefficient_by_partition_sum(d: int, m: int, n: int):
             if total:
                 total, r = divmod((start - j * step) * total, (j + 1) * step)
                 if r:
-                    raise _inexact(k, remaining, shift, j)
+                    raise ArithmeticError(f"state (level {k}, remaining {remaining}, "
+                                          f"shift {shift}): inexact division at j = {j}")
             total += subtree(k + 1, remaining - j * weight, d * (shift + j))
         return total
 
@@ -225,8 +221,10 @@ def coefficients_by_sweep(d: int, m_max: int) -> list:
 
         1 + B_{k+1}(x) = (1 + B_k(x))^d + x^(d^(k+1) - 1) (1 + B_0(x)),
 
-    and beta_{k,j} = 0 for 1 <= j <= d^(k+1) - 2.  Column j is swept at
-    every level k below k* = choose_n(d, j - 1) (and k* = 1 for j = 1).
+    and beta_{k,j} = 0 for 1 <= j <= d^(k+1) - 2.  One rule makes every
+    level k, level 0 included, at the first column that reads it, lo =
+    d^(k+1) - 1; column j >= d - 1 is swept at its k* = choose_n(d, j - 1)
+    levels (k* = 1 at j = 1).
     H_{k,j} = [x^j](1 + B_k)^d is d beta_{k,j} plus terms of earlier
     columns, so the unknown b_{j-1} enters beta_{k,j} as d^k b_{j-1} plus
     terms of earlier columns, and the zero at level k* solves for it.
@@ -261,13 +259,14 @@ def coefficients_by_sweep(d: int, m_max: int) -> list:
     (g = 0 before the first), so every entry at an index >= 1 off the
     multiples of g is an exact zero, and a term of column j pairs two
     nonzero entries only at an i that g divides.  A column j that g does
-    not divide, or j < d - 1 while g = 0, is stored as 0 at every level
-    with no sum: no lift is read before column d - 1, whose first lift
-    makes b_{d-2} = -1/d nonzero, so from there g divides d - 1 and hence
-    every lo, and a lift into column j reads beta_{0,j-lo}, off the
-    multiples of g too.  No level starts at a skipped column, since each
-    starts at its lo.  A zero column is returned without forming S^j,
-    which for a large degree costs far more than the column itself.
+    not divide, or j < d - 1 while g = 0, is stored as 0 in every row
+    with no sum.  Before column d - 1 no lift is read, so level 1's zero
+    would solve b_{j-1} = 0 from beta_{1,j} = d b_{j-1}; column d - 1's
+    lift makes b_{d-2} = -1/d nonzero, so from there g divides d - 1 and
+    every lo (no level is made at a skipped column, and each convolution
+    slices from lo), and a lift into column j reads beta_{0,j-lo}, off the
+    multiples of g too.  A zero column forms no S^j, which at a large
+    degree costs far more than the column itself.
     """
     require_int("degree d", d, 2)
     require_int("m_max", m_max, 0)
@@ -276,20 +275,19 @@ def coefficients_by_sweep(d: int, m_max: int) -> list:
 
 def _sweep(d):
     scale = 4 if d == 2 else d
-    beta, lifts, dk = [[1]], [], [1, d]  # level 0 holds column 0; dk[k] = d^k for k <= len(beta)
-    power = None if d == 2 else [[1]]  # the square reads no row of H
+    beta, lifts, dk = [], [], [1]  # no level yet; dk[k] = d^k for k <= len(beta)
+    power = None if d == 2 else []  # the square reads no row of H
     g = 0  # gcd of the indices >= 1 of the nonzero entries written so far; stays 0 for d = 2
     if d == 2:
         def rest(k, row, j, lo):  # [x^j](1 + B_k)^2 - 2 beta_{k,j}, row = beta[k], j >= 2 lo
             r = 2 * sum(map(mul, row[lo:(j + 1) // 2], row[j - lo:j // 2:-1]))
             return r + row[j // 2] ** 2 if j % 2 == 0 else r
     else:
-        def rest(k, row_b, j, lo):  # H_{k,j} - d beta_{k,j}, row_b = beta[k], j >= 2 lo, g | j
+        def rest(k, row_b, j, lo):  # H_{k,j} - d beta_{k,j}, row_b = beta[k], j >= 2 lo, g | j, lo
             row_h = power[k]
-            a = -(-lo // g) * g  # the first multiple of g from lo
-            weights = range((d + 1) * a - j, d * j, (d + 1) * g)  # (d + 1) i - j for i < j
-            r, rem = divmod(sum(map(mul, map(mul, weights, row_b[a:j - lo + 1:g]),
-                                    row_h[j - a:lo - 1:-g])), j)
+            weights = range((d + 1) * lo - j, d * j, (d + 1) * g)  # (d + 1) i - j for i < j
+            r, rem = divmod(sum(map(mul, map(mul, weights, row_b[lo:j - lo + 1:g]),
+                                    row_h[j - lo:lo - 1:-g])), j)
             if rem:
                 raise ArithmeticError(f"d={d}, column {j}, level {k}: inexact division by {j}")
             return r
@@ -299,20 +297,19 @@ def _sweep(d):
                 row.append(0)
             yield ZERO
             continue
-        if j == dk[-1] * d - 1:  # the next level k is first read at its lo = d^(k+1) - 1
+        if j == dk[-1] * d - 1:  # level k = len(beta) is made where it is first read, at lo
             for rows in (beta,) if power is None else (beta, power):
                 rows.append([1] + [0] * (j - 1))  # beta_{k,i} = H_{k,i} = 0 for 0 < i < lo
             dk.append(dk[-1] * d)
+            lifts.append(scale**j)  # lifts[k] = S^lo, not formed sooner: S^(d-1) can be huge
         p = 0  # beta_{k,j} less its term d^k b_{j-1}; h is H_{k,j} less d^(k+1) b_{j-1}
         for k, row in enumerate(beta):
             lo = dk[k + 1] - 1
-            if j == lo:  # lifts[k] = S^lo, not formed sooner: S^(d-1) can be huge
-                lifts.append(scale**lo)
             h = d * p + rest(k, row, j, lo) if j >= 2 * lo else d * p  # no i, j - i >= lo below
             row.append(p)
             if power is not None:
                 power[k].append(h)
-            p = h + beta[0][j - lo] * lifts[k] if j >= lo else h  # the lift of 1 + B_0
+            p = h + beta[0][j - lo] * lifts[k]  # the lift of 1 + B_0, read from j = lo on
         u, rem = divmod(-p, dk[-1])  # beta_{k*,j} = 0
         if rem:
             raise ArithmeticError(f"d={d}, column {j}: inexact division by {d}^{len(beta)}")

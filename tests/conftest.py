@@ -27,10 +27,7 @@ def degree_two_table_m1000():
 @pytest.fixture
 def set_digit_cap():
     """``sys.set_int_max_str_digits``, for a test to set the interpreter's
-    int<->str digit cap; the cap found is put back afterwards.  Skips on
-    interpreters without the cap."""
-    if not hasattr(sys, "set_int_max_str_digits"):
-        pytest.skip("interpreter has no int<->str digit cap")
+    int<->str digit cap; the cap found is put back afterwards."""
     original = sys.get_int_max_str_digits()
     yield sys.set_int_max_str_digits
     sys.set_int_max_str_digits(original)

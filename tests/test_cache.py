@@ -246,12 +246,12 @@ def test_conflicting_duplicates_rejected_on_store():
 def test_round_trip_above_the_int_str_digit_cap(tmp_path):
     # 20001-digit numerator over a 20001-digit power of two, far past
     # Python's default 4300-digit int<->str limit
-    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    limit = sys.get_int_max_str_digits()
     path = tmp_path / "big.csv"
     rows = [(2, 9999, rational(10**20000 + 1, 2**66439))]
     path.write_text(format_table(rows))
     assert load_coefficients(path) == rows
-    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_concurrent_parses_leave_the_cap_as_found(default_digit_cap):

@@ -1,7 +1,9 @@
 import argparse
+import doctest
 import hashlib
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -93,12 +95,12 @@ class TestCompute:
         assert len(rows) == 3
 
     def test_json_lines_above_the_int_str_digit_cap(self):
-        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        limit = sys.get_int_max_str_digits()
         value = rational(-(10**20000 + 1), 2**66439)
         row = json.loads(_records_json_lines([(2, 9999, value)]))
         assert row["numerator"] == "-1" + "0" * 19999 + "1"
         assert len(row["denominator"]) == 20001
-        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+        assert sys.get_int_max_str_digits() == limit
 
     def test_table_digest_for_degrees_two_to_six(self, capsys):
         # Byte-exact table for d = 2..6, m <= 200, recorded with a
@@ -834,6 +836,57 @@ def test_readme_cli_line_parses(line):
     # a renamed option or --method value fails here before the docs go stale
     args = cli.build_parser().parse_args(shlex.split(line)[1:])
     cli.normalize_args(args)
+
+
+def _readme_library_examples():
+    """The import statement of the first block under README's ## Library,
+    and each (expression, result comment) of the paragraph after it; a
+    comment on a line of its own belongs to the expression above it."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("\n## Library\n", 1)[1].split("```", 2)[1].removeprefix("python\n")
+    imports, results = block.split("\n\n")[:2]
+    examples = []
+    for line in results.splitlines():
+        code, _, comment = line.partition("#")
+        if code.strip():
+            examples.append((code.strip(), comment.strip()))
+        else:
+            examples[-1] = (examples[-1][0], comment.strip())
+    return imports, examples
+
+
+def test_readme_library_results():
+    # each result the README states is the repr of what its line returns,
+    # up to the comment's first non-name character after it
+    imports, examples = _readme_library_examples()
+    namespace = {}
+    exec(imports, namespace)
+    assert [code.partition("(")[0] for code, _ in examples] == [
+        "laurent_coefficient", "coefficients_by_sweep", "coefficient_by_residue",
+        "choose_n", "zero_census", "[v.passed for v in check_main"]
+    for code, comment in examples:
+        result = repr(eval(code, namespace))
+        assert re.match(re.escape(result) + r"(?![\w.])", comment), (code, result, comment)
+    tests = doctest.DocTestFinder().find(exact.padic_valuation, "padic_valuation",
+                                         globs=vars(exact))
+    outcome = doctest.DocTestRunner().run(tests[0])
+    assert (outcome.attempted, outcome.failed) == (2, 0)
+
+
+@pytest.mark.parametrize("module", ["multibrot.cli", "multibrot"])
+def test_module_entry_points(capsys, module):
+    # `python -m multibrot.cli` runs cli's __main__ block, `python -m
+    # multibrot` the package's __main__; both behave as main does in process
+    env = dict(os.environ, PYTHONPATH=str(Path(multibrot.__file__).parents[1]))
+    for argv, code in ((["compute", "--d", "2", "--m-max", "5"], EXIT_OK),
+                       (["compute", "--d", "2", "--m-max", "-1"], EXIT_USAGE)):
+        proc = subprocess.run([sys.executable, "-m", module, *argv],
+                              capture_output=True, env=env, timeout=120)
+        assert main(argv) == proc.returncode == code
+        out, err = capsys.readouterr()
+        assert proc.stdout == out.encode("utf-8")
+        assert proc.stderr == err.encode("utf-8")
+    assert err == "multibrot: --m-max must be >= 0\n"
 
 
 class TestDispatch:

@@ -1,3 +1,5 @@
+import cmath
+import functools
 import gc
 import itertools
 import math
@@ -606,6 +608,62 @@ class TestDynamicalInversion:
             n += 1
         recovered = math.exp(math.log(abs(z)) / d**n)
         assert recovered == pytest.approx(z0, abs=1e-9)
+
+    # The equipotential residual: Psi is the inverse of the Boettcher map,
+    # so G(Psi(w)) = log|w| for |w| > 1, with G(c) = lim d^-n log|f_c^n(c)|
+    # the Green's function of the Multibrot set.  At M = 400 and
+    # R = 10^(16/M), Gronwall's area theorem bounds the truncation's
+    # effect below 1e-16, so a true table leaves only float rounding.
+    M = 400
+    RADIUS = 10 ** (16 / M)
+    FLOOR = 4e-15  # true tables measured 2e-16 to 1.7e-15
+    DEGREES = [2, 3, 4, 5, 6, 7, 10]
+
+    @staticmethod
+    @functools.cache
+    def table(d):
+        return tuple(coefficients_by_sweep(d, TestDynamicalInversion.M))
+
+    @staticmethod
+    def equipotential_residual(d, table, radius, points=512):
+        """max |G(Psi_M(w)) - log R| over ``points`` equally spaced w on |w| = R,
+        with Psi_M(w) = w + sum(b_m w^-m) in floats and G read off the orbit
+        of c = Psi_M(w) once |f_c^n(c)| passes 1e20."""
+        values = [float(value) for value in reversed(table)]
+        worst = 0.0
+        for k in range(points):
+            w = cmath.rect(radius, 2 * math.pi * k / points)
+            x, tail = 1 / w, 0j
+            for value in values:
+                tail = tail * x + value
+            c = z = w + tail
+            n = 0
+            while abs(z) < 1e20:
+                z = z**d + c
+                n += 1
+            worst = max(worst, abs(math.log(abs(z)) / d**n - math.log(radius)))
+        return worst
+
+    @pytest.mark.parametrize("d", DEGREES)
+    def test_true_table_lies_on_the_equipotential(self, d):
+        table = self.table(d)
+        area = sum(m * value**2 for m, value in enumerate(table))  # S_M, exact
+        assert area < 1
+        r, m1 = self.RADIUS, self.M + 1
+        assert math.sqrt(1 - area) * r**-m1 / math.sqrt(m1 * (1 - r**-2)) < 1e-16
+        assert self.equipotential_residual(d, table, r) < self.FLOOR
+
+    @pytest.mark.parametrize("d", DEGREES)
+    def test_perturbed_table_leaves_the_equipotential(self, d):
+        # d = 2: b_3 off by 2^-7; every degree: its middle nonzero b_m sign-flipped
+        table = list(self.table(d))
+        nonzero = [m for m, value in enumerate(table) if value]
+        middle = min(nonzero, key=lambda m: abs(m - self.M // 2))
+        tables = [table[:middle] + [-table[middle]] + table[middle + 1:]]
+        if d == 2:
+            tables.append(table[:3] + [table[3] + rational(1, 128)] + table[4:])
+        for perturbed in tables:
+            assert self.equipotential_residual(d, perturbed, self.RADIUS) > 100 * self.FLOOR
 
 
 class TestVanishesByDivisibility:
